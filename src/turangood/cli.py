@@ -2,7 +2,10 @@
 
 Subcommands: count, verify, table.  Exit codes: 0 when everything
 computed or verified, 1 when a verifier found a counterexample, 2 on
-usage or parse errors.  Machine formats (json, csv) are the contract;
+usage or parse errors, 3 on an internal error of an engine (a failed
+self-check, an overflow guard, running out of memory or of recursion
+depth), reported as "turangood: internal error: ..." on stderr with no
+traceback.  Machine formats (json, csv) are the contract;
 human output mirrors the JSON fields one per line.
 
 Defaults for --format, --workers, --cap and --witnesses can be set via
@@ -20,7 +23,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .forest import LinearForest, aut_order
+from .forest import LinearForest, aut_order, copies_from_injective_homs
 from .multipartite import PartSizes, count_copies_turan, count_injective_homs, turan_parts
 from .oracle import EXHAUSTIVE_CAP_DEFAULT, WITNESS_CAP_DEFAULT
 from . import verify as verify_mod
@@ -102,7 +105,7 @@ def cmd_count(cfg: RunConfig) -> int:
         "parts": list(parts.canonical),
         "injective_homs": inj,
         "aut": aut,
-        "copies": inj // aut,
+        "copies": copies_from_injective_homs(inj, aut),
     }
     if cfg.fmt == "json":
         _emit(_json_dumps(payload))
@@ -319,6 +322,9 @@ def run(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"turangood: error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, OverflowError, MemoryError) as exc:  # RecursionError too
+        print(f"turangood: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

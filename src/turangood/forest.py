@@ -91,6 +91,25 @@ def aut_order(forest: LinearForest) -> int:
     return out
 
 
+def copies_from_injective_homs(inj: int, aut: int) -> int:
+    """Copy count from an injective homomorphism count: inj / aut.
+
+    The division is exact for every host; a remainder means an engine
+    defect and raises RuntimeError (a check that holds under -O too).
+    """
+    copies, rem = divmod(inj, aut)
+    if rem:
+        raise RuntimeError(f"automorphism count {aut} does not divide {inj}")
+    return copies
+
+
+def back_edge_flags(components: tuple[int, ...]) -> tuple[bool, ...]:
+    """One flag per forest vertex, the components laid down one after
+    another in the given order: True when the vertex must be adjacent to
+    the vertex placed just before it (every path vertex but the first)."""
+    return tuple(t > 0 for c in components for t in range(c))
+
+
 def delete_odd_endpoint(forest: LinearForest, order: int) -> LinearForest:
     """Remove one endpoint from a component of the given odd order (>= 3).
 

@@ -3,22 +3,34 @@
 A complete multipartite host is described by its part sizes.  Counting
 never materializes the host: injective homomorphisms are counted by a
 dynamic program that lays the forest down one path vertex at a time.
-Placing a vertex into part p contributes a factor (size_p - used_p),
-and consecutive vertices of the same path may not share a part (that
-pair must be a host edge).  Copy counts divide out the forest's
-automorphisms; the division is always exact.
+Placing a vertex into a part with c free vertices contributes a factor
+c, and consecutive vertices of the same path may not share a part (that
+pair must be a host edge).
 
-All arithmetic uses Python's unbounded integers, so counts are exact at
-any magnitude.
+Parts with the same number of free vertices are interchangeable, so a
+DP state is (position, the free capacities as a sorted multiset, the
+capacity of the part the next vertex may not use, or -1).  A move into
+capacity c weighs c times the number of parts with capacity c, less one
+when the forbidden part is among them.  A state's value depends only on
+the forest, not on the host it was reached from, so the memo is kept
+per forest and shared by every host counted for it: a sweep over many
+hosts fills in only the states no earlier host reached.  The memo holds
+the two most recently used forests.  Evaluation is iterative (a forward
+pass collects the new states layer by layer, a backward pass fills them
+in), so forests of any length count without recursion.
+
+Copy counts divide out the forest's automorphisms; the division is
+always exact.  All arithmetic uses Python's unbounded integers, so
+counts are exact at any magnitude.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Union
 
-from .forest import LinearForest, aut_order
+from .forest import LinearForest, aut_order, back_edge_flags, copies_from_injective_homs
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,7 +82,8 @@ class PartSizes:
 PartsLike = Union[PartSizes, Iterable[int]]
 
 
-def _canonical_sizes(parts: PartsLike) -> tuple[int, ...]:
+def canonical_sizes(parts: PartsLike) -> tuple[int, ...]:
+    """Non-increasing nonzero part sizes: the host up to isomorphism."""
     if isinstance(parts, PartSizes):
         return parts.canonical
     return PartSizes(tuple(parts)).canonical
@@ -89,56 +102,101 @@ def turan_parts(n: int, k: int) -> PartSizes:
     return PartSizes((q + 1,) * r + (q,) * (k - r))
 
 
-@lru_cache(maxsize=None)
-def _inj_homs(comps: tuple[int, ...], sizes: tuple[int, ...]) -> int:
-    if sum(comps) > sum(sizes):
-        return 0
-    k = len(sizes)
-    # one flag per forest vertex: does it need an edge back to the
-    # previously placed vertex (i.e. is it a non-initial path vertex)?
-    flags: list[bool] = []
-    for c in comps:
-        flags.append(False)
-        flags.extend([True] * (c - 1))
-    total = len(flags)
-    memo: dict = {}
+_MEMO_FORESTS = 2
+"""Forests whose DP states are kept.  The identity verifiers alternate a
+forest and its shrunk forest, so two suffice; more only cost memory."""
 
-    def rec(pos: int, forbidden: int, used: tuple[int, ...]) -> int:
-        if pos == total:
-            return 1
-        key = (pos, forbidden, used)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        next_bound = pos + 1 < total and flags[pos + 1]
-        acc = 0
-        for p in range(k):
-            if p == forbidden:
-                continue
-            avail = sizes[p] - used[p]
-            if avail <= 0:
-                continue
-            nxt = used[:p] + (used[p] + 1,) + used[p + 1:]
-            acc += avail * rec(pos + 1, p if next_bound else -1, nxt)
-        memo[key] = acc
-        return acc
+_memos: OrderedDict = OrderedDict()
+"""Forest components -> one dict per position, (caps, forbidden) -> count
+of ways to place the rest.  No lock guards it: the package runs the DP
+on one thread only."""
 
-    return rec(0, -1, (0,) * k)
+
+def _forest_memo(comps: tuple[int, ...], total: int) -> list[dict]:
+    """The forest's memo, one dict per position; evicts the least
+    recently used forest beyond _MEMO_FORESTS."""
+    memo = _memos.get(comps)
+    if memo is None:
+        memo = _memos[comps] = [{} for _ in range(total)]
+        if len(_memos) > _MEMO_FORESTS:
+            _memos.popitem(last=False)
+    else:
+        _memos.move_to_end(comps)
+    return memo
+
+
+def _moves(caps: tuple[int, ...], forbidden: int, bind: bool) -> list:
+    """(weight, next state) for each way to place one vertex.
+
+    The vertex goes into some part of capacity c: c vertices to choose
+    from in each of the parts with that capacity, less the forbidden
+    part.  The last part of capacity c drops to c - 1, which keeps caps
+    non-increasing; a part that fills up leaves the state.
+    """
+    out = []
+    i, k = 0, len(caps)
+    while i < k:
+        c = caps[i]
+        j = i + 1
+        while j < k and caps[j] == c:
+            j += 1
+        mult = j - i - (c == forbidden)
+        if mult:
+            nxt = caps[:j - 1] + (c - 1,) + caps[j:] if c > 1 else caps[:j - 1]
+            out.append((c * mult, (nxt, c - 1 if bind and c > 1 else -1)))
+        i = j
+    return out
 
 
 def count_injective_homs(forest: LinearForest, parts: PartsLike) -> int:
     """Number of injective maps of the forest into the host that carry
     every forest edge to a host edge (endpoints in distinct parts)."""
-    return _inj_homs(forest.components, _canonical_sizes(parts))
+    sizes = canonical_sizes(parts)
+    flags = back_edge_flags(forest.components)
+    total = len(flags)
+    if total > sum(sizes):
+        return 0
+    if total == 0:
+        return 1
+    memo = _forest_memo(forest.components, total)
+    root = (sizes, -1)
+    if root in memo[0]:
+        return memo[0][root]
+    # forward: layer by layer, the states reachable from this host that
+    # are not in the memo yet, each with its moves; memo hits end a branch
+    layers: list[dict] = []
+    todo = {root: None}
+    for pos in range(total):
+        if not todo:
+            break
+        layers.append(todo)
+        known = memo[pos + 1] if pos + 1 < total else None
+        bind = known is not None and flags[pos + 1]
+        nxt: dict = {}
+        for state in todo:
+            moves = todo[state] = _moves(*state, bind)
+            if known is not None:
+                for _, succ in moves:
+                    if succ not in known:
+                        nxt[succ] = None
+        todo = nxt
+    # backward: fill those states in, deepest layer first; a move off the
+    # last position completes a placement and counts once
+    for pos in range(len(layers) - 1, -1, -1):
+        below = memo[pos + 1] if pos + 1 < total else None
+        here = memo[pos]
+        for state, moves in layers[pos].items():
+            if below is None:
+                here[state] = sum(w for w, _ in moves)
+            else:
+                here[state] = sum(w * below[succ] for w, succ in moves)
+    return memo[0][root]
 
 
 def count_copies(forest: LinearForest, parts: PartsLike) -> int:
     """Number of subgraphs of the host isomorphic to the forest."""
-    inj = count_injective_homs(forest, parts)
-    aut = aut_order(forest)
-    copies, rem = divmod(inj, aut)
-    assert rem == 0, f"automorphism count {aut} does not divide {inj}"
-    return copies
+    return copies_from_injective_homs(count_injective_homs(forest, parts),
+                                      aut_order(forest))
 
 
 def count_copies_turan(forest: LinearForest, n: int, k: int) -> int:

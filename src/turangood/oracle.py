@@ -37,8 +37,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .forest import LinearForest, aut_order
-from .multipartite import PartsLike, PartSizes, _canonical_sizes, turan_parts
+from .forest import LinearForest, aut_order, back_edge_flags, copies_from_injective_homs
+from .multipartite import PartsLike, canonical_sizes, turan_parts
 
 MAX_GRAPH_VERTICES = 10
 EXHAUSTIVE_CAP_DEFAULT = 7
@@ -169,7 +169,7 @@ def explicit_multipartite(parts: PartsLike) -> SmallGraph:
     Vertices are grouped into consecutive blocks, one per nonzero part
     in canonical order; edges join vertices of distinct blocks.
     """
-    sizes = _canonical_sizes(parts)
+    sizes = canonical_sizes(parts)
     n = sum(sizes)
     if n > MAX_GRAPH_VERTICES:
         raise ValueError(f"{n} vertices exceed the explicit-graph cap {MAX_GRAPH_VERTICES}")
@@ -182,10 +182,7 @@ def explicit_multipartite(parts: PartsLike) -> SmallGraph:
 
 @lru_cache(maxsize=1 << 16)
 def _inj_homs_explicit(comps: tuple[int, ...], n: int, adj: tuple[int, ...]) -> int:
-    flags: list[bool] = []
-    for c in comps:
-        flags.append(False)
-        flags.extend([True] * (c - 1))
+    flags = back_edge_flags(comps)
     total = len(flags)
     full = (1 << n) - 1
 
@@ -210,11 +207,8 @@ def count_injective_homs_explicit(forest: LinearForest, g: SmallGraph) -> int:
 
 def count_copies_explicit(forest: LinearForest, g: SmallGraph) -> int:
     """Backtracking copy count: injective homomorphisms / automorphisms."""
-    inj = count_injective_homs_explicit(forest, g)
-    aut = aut_order(forest)
-    copies, rem = divmod(inj, aut)
-    assert rem == 0, f"automorphism count {aut} does not divide {inj}"
-    return copies
+    return copies_from_injective_homs(count_injective_homs_explicit(forest, g),
+                                      aut_order(forest))
 
 
 def is_clique_free(g: SmallGraph, r: int) -> bool:
@@ -312,10 +306,7 @@ def _inj_counts_all_graphs(n: int, comps: tuple[int, ...]) -> np.ndarray:
     nbits = n * (n - 1) // 2
     eidx = _edge_index(n)
     w = np.zeros(1 << nbits, dtype=np.int32)
-    flags: list[bool] = []
-    for c in comps:
-        flags.append(False)
-        flags.extend([True] * (c - 1))
+    flags = back_edge_flags(comps)
     total = len(flags)
     full = (1 << n) - 1
     placements = 0
@@ -406,9 +397,7 @@ def extremal_search(forest: LinearForest, n: int, k: int, *,
             break
     witness_masks = witness_masks[:witness_cap]
 
-    aut = aut_order(forest)
-    assert max_inj % aut == 0
-    max_count = max_inj // aut
+    max_count = copies_from_injective_homs(max_inj, aut_order(forest))
     turan_graph = explicit_multipartite(turan_parts(n, k))
     turan_count = count_copies_explicit(forest, turan_graph)
 

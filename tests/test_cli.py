@@ -41,6 +41,19 @@ class TestCount:
         assert lines[0] == "forest,parts,injective_homs,aut,copies"
         assert lines[1] == '3,"3,2",18,2,9'
 
+    @pytest.mark.parametrize("exc", [RuntimeError, OverflowError, MemoryError,
+                                     RecursionError])
+    def test_internal_error_exits_3(self, capsys, monkeypatch, exc):
+        def broken(*args):
+            raise exc("engine self-check failed")
+        monkeypatch.setattr("turangood.cli.count_injective_homs", broken)
+        code, out, err = invoke(capsys, "count", "--forest", "3", "--parts", "2,3")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("turangood: internal error: ")
+        assert "engine self-check failed" in err
+        assert "Traceback" not in err
+
     def test_bad_forest_exits_2(self, capsys):
         code, _, err = invoke(capsys, "count", "--forest", "x", "--parts", "2,3")
         assert code == 2

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from conftest import all_forests, brute_aut_order
 
+import turangood
 from turangood import (
     LinearForest,
     aut_order,
@@ -8,6 +14,7 @@ from turangood import (
     delete_isolated,
     delete_odd_endpoint,
 )
+from turangood.forest import back_edge_flags, copies_from_injective_homs
 
 
 class TestCanonicalForm:
@@ -80,6 +87,37 @@ class TestAutOrder:
     def test_matches_permutation_count_up_to_8_vertices(self):
         for comps in all_forests(8):
             assert aut_order(LinearForest(comps)) == brute_aut_order(comps), comps
+
+
+class TestCopiesFromInjectiveHoms:
+    def test_exact_division(self):
+        assert copies_from_injective_homs(18, 2) == 9
+        assert copies_from_injective_homs(0, 8) == 0
+
+    def test_remainder_raises(self):
+        with pytest.raises(RuntimeError, match="does not divide"):
+            copies_from_injective_homs(7, 2)
+
+    def test_remainder_raises_under_optimize(self):
+        # the guard must not be an assert, which -O strips
+        code = ("from turangood.forest import copies_from_injective_homs\n"
+                "try:\n"
+                "    copies_from_injective_homs(7, 2)\n"
+                "except RuntimeError:\n"
+                "    raise SystemExit(0)\n"
+                "raise SystemExit(1)\n")
+        src = str(Path(turangood.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestBackEdgeFlags:
+    def test_one_flag_per_vertex(self):
+        assert back_edge_flags((3, 1, 2)) == (False, True, True, False, False, True)
+
+    def test_empty_forest(self):
+        assert back_edge_flags(()) == ()
 
 
 class TestDeleteOddEndpoint:

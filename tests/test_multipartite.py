@@ -1,6 +1,14 @@
+import json
+import random
+from collections import OrderedDict
+from math import factorial
+
 import pytest
 from conftest import all_forests, brute_copies_multipartite, brute_inj_homs_multipartite
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from turangood import multipartite
 from turangood import (
     LinearForest,
     PartSizes,
@@ -9,6 +17,7 @@ from turangood import (
     count_injective_homs,
     turan_parts,
 )
+from turangood.cli import run
 from turangood.verify import partitions_at_most
 
 
@@ -145,3 +154,51 @@ class TestCountingInvariants:
             forest = LinearForest(comps)
             assert (brute_copies_multipartite(comps, (3, 2))
                     == count_copies(forest, (3, 2)))
+
+
+@st.composite
+def _bounded_lists(draw, least, total, max_len):
+    """Nonempty lists of ints >= least, at most max_len long, sum <= total."""
+    out = [draw(st.integers(least, total))]
+    for _ in range(draw(st.integers(0, max_len - 1))):
+        if total - sum(out) < least:
+            break
+        out.append(draw(st.integers(least, total - sum(out))))
+    return out
+
+
+class TestCountingCore:
+    def test_path_of_1000_vertices(self, capsys):
+        # far deeper than the interpreter's recursion limit
+        code = run(["count", "--forest", "1000", "--parts", "500,500", "--format", "json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["copies"] == factorial(500) ** 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(comps=_bounded_lists(1, 7, 7), sizes=_bounded_lists(0, 9, 5))
+    def test_matches_brute_force_random(self, comps, sizes):
+        assert (count_injective_homs(LinearForest(tuple(comps)), sizes)
+                == brute_inj_homs_multipartite(tuple(comps), tuple(sizes)))
+
+    def test_memo_order_independent(self, monkeypatch):
+        target = LinearForest((5, 3, 2))
+        others = [LinearForest((4, 4, 1)), LinearForest((6, 2))]
+        hosts = list(partitions_at_most(16, 4))
+        shuffled = hosts[:]
+        random.Random(7).shuffle(shuffled)
+
+        def counts(order, interleave=()):
+            monkeypatch.setattr(multipartite, "_memos", OrderedDict())
+            out = {}
+            for h in order:
+                out[h] = count_injective_homs(target, h)
+                for f in interleave:
+                    count_injective_homs(f, h)
+            return out
+
+        alone = {h: counts([h])[h] for h in hosts}
+        assert counts(hosts) == alone
+        assert counts(shuffled) == alone
+        # three forests in turn overflow the two-forest memo on every host
+        assert counts(shuffled, others) == alone
+        assert target.components not in multipartite._memos

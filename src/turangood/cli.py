@@ -10,12 +10,15 @@ human output mirrors the JSON fields one per line.
 
 Defaults for --format, --workers, --cap and --witnesses can be set via
 the TURANGOOD_FORMAT, TURANGOOD_WORKERS, TURANGOOD_CAP and
-TURANGOOD_WITNESSES environment variables.
+TURANGOOD_WITNESSES environment variables.  --workers (TURANGOOD_WORKERS)
+is validated and otherwise has no effect: the exhaustive scan runs on
+one thread.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -115,11 +118,13 @@ def cmd_count(cfg: RunConfig) -> int:
             [[payload["forest"], ",".join(map(str, payload["parts"])),
               inj, aut, payload["copies"]]]))
     else:
+        lines = []
         for key in ("forest", "parts", "injective_homs", "aut", "copies"):
             val = payload[key]
             if key == "parts":
                 val = ",".join(map(str, val))
-            _emit(f"{key}: {val}")
+            lines.append(f"{key}: {val}")
+        _emit("\n".join(lines))
     return 0
 
 
@@ -253,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="exhaustive search cap on n (hard limit 8)")
     p_verify.add_argument("--workers", type=int,
                           default=_env_default("WORKERS", None),
-                          help="worker count for exhaustive sweeps")
+                          help="accepted for compatibility; has no effect")
     p_verify.add_argument("--witnesses", type=int,
                           default=int(_env_default("WITNESSES", WITNESS_CAP_DEFAULT)),
                           help="maximum witnesses kept per counterexample")
@@ -291,16 +296,29 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             if k < 1:
                 raise ValueError(f"k must be >= 1, got {k}")
     cfg.cap = args.cap
-    workers = args.workers
-    if workers is not None:
-        workers = int(workers)
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-    else:
-        workers = os.cpu_count() or 1
-    cfg.workers = workers
+    if args.workers is not None:
+        cfg.workers = int(args.workers)
+        if cfg.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {cfg.workers}")
     cfg.witness_cap = args.witnesses
     return cfg
+
+
+@contextlib.contextmanager
+def _full_decimal():
+    """Lift Python's int-to-str digit limit while a command prints its
+    counts, which are exact and may have more than 4300 digits.  Parsing
+    argv happens outside, under the limit."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:  # interpreters that predate the limit
+        yield
+        return
+    old = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -314,11 +332,12 @@ def run(argv: list[str] | None = None) -> int:
         return 2
     try:
         cfg = _config_from_args(args)
-        if cfg.subcommand == "count":
-            return cmd_count(cfg)
-        if cfg.subcommand == "verify":
-            return cmd_verify(cfg)
-        return cmd_table(cfg)
+        with _full_decimal():
+            if cfg.subcommand == "count":
+                return cmd_count(cfg)
+            if cfg.subcommand == "verify":
+                return cmd_verify(cfg)
+            return cmd_table(cfg)
     except ValueError as exc:
         print(f"turangood: error: {exc}", file=sys.stderr)
         return 2

@@ -22,18 +22,26 @@ running the backtracking counter 2^(n(n-1)/2) times, it counts once per
 injective placement: each placement of the forest into the complete
 graph K_n demands a fixed set of edges, and the number of placements
 whose demanded edges all lie inside G is obtained for every G at once
-by a subset-sum (zeta) transform over edge masks.  The result is exact
-and is spot-checked against the backtracking counter on every witness
-it returns.
+by a subset-sum (zeta) transform over edge masks.  Counts are uint16:
+no entry exceeds the total placement count n!/(n-m)! <= 8! = 40320, and
+an overflow guard refuses any forest and n where that bound would not
+hold.  Isolated vertices demand no edge, so the transform runs on the
+forest's edge core (its components of order >= 2) and the counts are
+scaled by the falling factorial of the vertices the core leaves free;
+forests with one core share one transform.  The K_{k+1}-free selector
+uses the same transform: containing a clique is an up-set, so the clique
+masks are seeded and closed upward with OR, then complemented.  One
+thread scans fixed shards of masks for the best count and the smallest
+tied masks.  The result is exact and is spot-checked against the
+backtracking counter and the clique search on every witness it returns.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import perm
 
 import numpy as np
 
@@ -45,7 +53,9 @@ EXHAUSTIVE_CAP_DEFAULT = 7
 EXHAUSTIVE_CAP_LIMIT = 8
 WITNESS_CAP_DEFAULT = 10
 
-_SHARD_BITS = 18
+_SHARD_SIZE = 1 << 18
+"""Edge masks per scan step; bounds the scan's temporaries."""
+_COUNT_MAX = np.iinfo(np.uint16).max
 
 
 @lru_cache(maxsize=None)
@@ -259,63 +269,59 @@ class ExtremalResult:
         }
 
 
-_array_lock = threading.Lock()
+def _zeta(a: np.ndarray, nbits: int, op) -> None:
+    """In-place subset transform over bit masks (Yates's method):
+    a[S] becomes op over a[T] for every T subset of S.
 
-
-@lru_cache(maxsize=4)
-def _all_masks(nbits: int) -> np.ndarray:
-    masks = np.arange(1 << nbits, dtype=np.int32)
-    masks.setflags(write=False)
-    return masks
+    Bit t pairs each entry with bit t clear to the one with it set.  For
+    steps below 16 one strided 1-D slice per offset beats a 2-D view
+    whose rows are that short.
+    """
+    for t in range(nbits):
+        step = 1 << t
+        if step < 16:
+            for j in range(step):
+                hi = a[step + j::2 * step]
+                op(hi, a[j::2 * step], out=hi)
+        else:
+            view = a.reshape(-1, 2 * step)
+            hi = view[:, step:]
+            op(hi, view[:, :step], out=hi)
 
 
 @lru_cache(maxsize=8)
 def _clique_free_selector(n: int, r: int) -> np.ndarray:
-    """Boolean array over all edge masks: True iff the graph has no K_r."""
-    nbits = n * (n - 1) // 2
-    masks = _all_masks(nbits)
-    eidx = _edge_index(n)
-    bad = np.zeros(1 << nbits, dtype=bool)
-    for group in combinations(range(n), r):
-        em = 0
-        for a, b in combinations(group, 2):
-            em |= 1 << eidx[(a, b)]
-        em = np.int32(em)
-        bad |= (masks & em) == em
-    ok = ~bad
-    ok.setflags(write=False)
-    return ok
+    """Boolean array over all edge masks: True iff the graph has no K_r.
 
-
-@lru_cache(maxsize=8)
-def _inj_counts_all_graphs(n: int, comps: tuple[int, ...]) -> np.ndarray:
-    """Injective homomorphism counts of the forest for every edge mask.
-
-    Builds the histogram of demanded-edge masks over all injective
-    placements into K_n, then applies the subset-sum transform so entry
-    G ends up holding the number of placements entirely inside G.
+    Containing K_r is an up-set: seed the C(n, r) clique masks, close
+    upward with an OR transform, then complement in place.
     """
-    # every entry is bounded by the total placement count n!/(n-m)!,
-    # so the fixed-width array cannot wrap; refuse if that ever changes
-    bound = 1
-    for t in range(min(sum(comps), n)):
-        bound *= n - t
-    if bound >= 2 ** 31:
-        raise OverflowError(f"placement count bound {bound} exceeds int32")
-
     nbits = n * (n - 1) // 2
     eidx = _edge_index(n)
-    w = np.zeros(1 << nbits, dtype=np.int32)
-    flags = back_edge_flags(comps)
+    sel = np.zeros(1 << nbits, dtype=bool)
+    for group in combinations(range(n), r):
+        sel[sum(1 << eidx[p] for p in combinations(group, 2))] = True
+    _zeta(sel, nbits, np.logical_or)
+    np.logical_not(sel, out=sel)
+    sel.setflags(write=False)
+    return sel
+
+
+@lru_cache(maxsize=16)
+def _core_counts(n: int, core: tuple[int, ...]) -> np.ndarray:
+    """Per-mask injective homomorphism counts of a forest: the histogram
+    of the edge masks that its placements into K_n demand, subset-summed
+    so entry G holds the number of placements entirely inside G."""
+    nbits = n * (n - 1) // 2
+    eidx = _edge_index(n)
+    flags = back_edge_flags(core)
     total = len(flags)
     full = (1 << n) - 1
-    placements = 0
+    masks: list[int] = []
 
     def rec(pos: int, prev: int, used: int, emask: int) -> None:
-        nonlocal placements
         if pos == total:
-            w[emask] += 1
-            placements += 1
+            masks.append(emask)
             return
         need_edge = flags[pos]
         cand = full & ~used
@@ -329,27 +335,76 @@ def _inj_counts_all_graphs(n: int, comps: tuple[int, ...]) -> np.ndarray:
 
     if total <= n:
         rec(0, -1, 0, 0)
-    for t in range(nbits):
-        step = 1 << t
-        view = w.reshape(-1, 2 * step)
-        view[:, step:] += view[:, :step]
+    w = np.zeros(1 << nbits, dtype=np.uint16)
+    demanded, hits = np.unique(np.array(masks, dtype=np.int64), return_counts=True)
+    w[demanded] = hits
+    _zeta(w, nbits, np.add)
     # the transform leaves the total placement count at the full mask
-    if int(w[-1]) != placements:
+    if int(w[-1]) != len(masks):
         raise RuntimeError("subset-sum transform integrity check failed")
     w.setflags(write=False)
     return w
 
 
+@lru_cache(maxsize=2)
+def _inj_counts_all_graphs(n: int, comps: tuple[int, ...]) -> np.ndarray:
+    """Injective homomorphism counts of the forest for every edge mask.
+
+    Isolated vertices demand no edge: each multiplies every count by the
+    number of vertices still free, so the transform runs on the edge core
+    (the components of order >= 2) alone and is shared by every forest
+    with that core.
+    """
+    # every entry is bounded by the total placement count n!/(n-m)!,
+    # so the uint16 array cannot wrap; refuse if that ever changes
+    bound = perm(n, min(sum(comps), n))
+    if bound > _COUNT_MAX:
+        raise OverflowError(f"placement count bound {bound} exceeds uint16")
+
+    core = tuple(c for c in comps if c >= 2)
+    counts = _core_counts(n, core)
+    isolated = len(comps) - len(core)
+    if not isolated:
+        return counts
+    # perm(free, i) is 0 when fewer than i vertices are left free
+    scaled = counts * np.uint16(perm(max(n - sum(core), 0), isolated))
+    scaled.setflags(write=False)
+    return scaled
+
+
 def _scan_shard(counts: np.ndarray, ok: np.ndarray, lo: int, hi: int,
                 witness_cap: int) -> tuple[int, list[int]]:
+    """Best count among the selected masks in [lo, hi) (0 when none is
+    selected) and the first witness_cap selected masks that reach it."""
+    c = counts[lo:hi]
     sel = ok[lo:hi]
-    if not sel.any():
-        return -1, []
-    vals = counts[lo:hi][sel]
-    best = int(vals.max())
-    idx = lo + np.flatnonzero(sel)
-    ties = idx[vals == best][:witness_cap]
-    return best, [int(m) for m in ties]
+    best = int((c * sel).max())
+    tied = c == best
+    tied &= sel
+    return best, [lo + int(m) for m in np.flatnonzero(tied)[:witness_cap]]
+
+
+def _mem_available() -> int | None:
+    """MemAvailable in bytes from /proc/meminfo; None where unreadable."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _peak_bytes(n: int, comps: tuple[int, ...]) -> int:
+    """Upper estimate of the array bytes one search allocates."""
+    size = 1 << (n * (n - 1) // 2)
+    shard = min(size, _SHARD_SIZE)
+    peak = 3 * size  # uint16 counts, bool selector inverted in place
+    if 1 in comps:
+        peak += 2 * size  # the core counts the forest's counts are scaled from
+    # scan: masked uint16 product, tie mask, tie indices of one shard
+    return peak + shard * (2 + 1 + 8)
 
 
 def extremal_search(forest: LinearForest, n: int, k: int, *,
@@ -359,10 +414,10 @@ def extremal_search(forest: LinearForest, n: int, k: int, *,
     """Maximize the forest's copy count over all K_{k+1}-free graphs on n
     labeled vertices, scanning every edge mask.
 
-    Refuses n above the cap (default 7, hard limit 8).  The scan is
-    sharded over fixed edge-mask ranges; shard results merge by maximum
-    with a keep-smallest-mask witness rule, so the outcome does not
-    depend on the worker count.
+    Refuses n above the cap (default 7, hard limit 8), and any n whose
+    arrays would not fit in the memory available now.  Witnesses are the
+    smallest maximizing edge masks.  ``workers`` is accepted and has no
+    effect: the scan runs on one thread.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -372,30 +427,24 @@ def extremal_search(forest: LinearForest, n: int, k: int, *,
         raise ValueError(f"n={n} outside [0, {cap}]; refusing unbounded scan")
     if witness_cap < 0:
         raise ValueError("witness cap must be >= 0")
+    need = _peak_bytes(n, forest.components)
+    avail = _mem_available()
+    if avail is not None and need > avail:
+        raise ValueError(f"n={n} needs about {need >> 20} MiB of arrays, "
+                         f"only {avail >> 20} MiB available")
 
-    nbits = n * (n - 1) // 2
-    with _array_lock:
-        counts = _inj_counts_all_graphs(n, forest.components)
-        ok = _clique_free_selector(n, k + 1)
+    size = 1 << (n * (n - 1) // 2)
+    counts = _inj_counts_all_graphs(n, forest.components)
+    ok = _clique_free_selector(n, k + 1)
 
-    shard_size = 1 << min(_SHARD_BITS, nbits)
-    bounds = [(lo, min(lo + shard_size, 1 << nbits))
-              for lo in range(0, 1 << nbits, shard_size)]
-    if workers is not None and workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda b: _scan_shard(counts, ok, b[0], b[1], witness_cap), bounds))
-    else:
-        results = [_scan_shard(counts, ok, lo, hi, witness_cap) for lo, hi in bounds]
-
-    max_inj = max(best for best, _ in results)
-    witness_masks: list[int] = []
-    for best, ties in results:
-        if best == max_inj:
-            witness_masks.extend(ties)
-        if len(witness_masks) >= witness_cap:
-            break
-    witness_masks = witness_masks[:witness_cap]
+    # shards in mask order: a later shard only adds ties past earlier ones
+    max_inj, witness_masks = -1, []
+    for lo in range(0, size, _SHARD_SIZE):
+        best, ties = _scan_shard(counts, ok, lo, min(lo + _SHARD_SIZE, size), witness_cap)
+        if best > max_inj:
+            max_inj, witness_masks = best, ties
+        elif best == max_inj:
+            witness_masks = (witness_masks + ties)[:witness_cap]
 
     max_count = copies_from_injective_homs(max_inj, aut_order(forest))
     turan_graph = explicit_multipartite(turan_parts(n, k))
@@ -418,5 +467,5 @@ def extremal_search(forest: LinearForest, n: int, k: int, *,
     return ExtremalResult(
         forest=forest, n=n, k=k,
         max_count=max_count, turan_count=turan_count,
-        witnesses=tuple(witnesses), graphs_scanned=1 << nbits,
+        witnesses=tuple(witnesses), graphs_scanned=size,
     )

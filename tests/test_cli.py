@@ -1,4 +1,6 @@
 import json
+import sys
+from math import factorial
 
 import pytest
 
@@ -53,6 +55,31 @@ class TestCount:
         assert err.startswith("turangood: internal error: ")
         assert "engine self-check failed" in err
         assert "Traceback" not in err
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="interpreter without an int-to-str digit limit")
+    def test_counts_beyond_int_str_digit_limit(self, capsys):
+        # 1000!^2 has about 5135 digits, past Python's default 4300
+        limit = sys.get_int_max_str_digits()
+        outs = {}
+        for fmt in ("json", "csv", "human"):
+            code, outs[fmt], err = invoke(capsys, "count", "--forest", "2000",
+                                          "--parts", "1000,1000", "--format", fmt)
+            assert (code, err) == (0, "")
+            assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            copies = str(factorial(1000) ** 2)
+            inj = str(2 * factorial(1000) ** 2)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert outs["json"] == (f'{{\n  "aut": 2,\n  "copies": {copies},\n  "forest": "2000",\n'
+                                f'  "injective_homs": {inj},\n  "parts": [\n    1000,\n    1000\n'
+                                f'  ]\n}}\n')
+        assert outs["csv"] == (f'forest,parts,injective_homs,aut,copies\n'
+                               f'2000,"1000,1000",{inj},2,{copies}\n')
+        assert outs["human"] == (f"forest: 2000\nparts: 1000,1000\ninjective_homs: {inj}\n"
+                                 f"aut: 2\ncopies: {copies}\n")
 
     def test_bad_forest_exits_2(self, capsys):
         code, _, err = invoke(capsys, "count", "--forest", "x", "--parts", "2,3")

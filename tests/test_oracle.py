@@ -1,5 +1,7 @@
 import random
+from itertools import combinations
 
+import numpy as np
 import pytest
 from conftest import all_forests, brute_copies, multipartite_edge_set
 
@@ -13,7 +15,14 @@ from turangood import (
     extremal_search,
     is_clique_free,
 )
-from turangood.oracle import _clique_free_selector, _edge_pairs, _inj_counts_all_graphs
+from turangood import oracle
+from turangood.oracle import (
+    _clique_free_selector,
+    _edge_index,
+    _edge_pairs,
+    _inj_counts_all_graphs,
+    _zeta,
+)
 
 
 def graphs_equal(g, n, edge_set):
@@ -167,6 +176,109 @@ class TestScanEngine:
 
     def test_edge_pair_order_matches_graph6(self):
         assert _edge_pairs(4) == ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
+
+
+def _brute_selector(n, r):
+    """Clique-free flags by testing every mask against every clique mask."""
+    masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
+    eidx = _edge_index(n)
+    bad = np.zeros(masks.size, dtype=bool)
+    for group in combinations(range(n), r):
+        em = sum(1 << eidx[p] for p in combinations(group, 2))
+        bad |= (masks & em) == em
+    return ~bad
+
+
+class TestLeanEngine:
+    """Strided transform, uint16 counts, edge-core factor, closure selector
+    and masked scan, each against a reference that does not share it."""
+
+    @pytest.mark.parametrize("op,dtype", [(np.add, np.int64), (np.logical_or, bool)])
+    def test_zeta_matches_subset_sums(self, op, dtype):
+        rng = np.random.default_rng(5)
+        nbits = 6  # steps 1..32: strided slices and the 2-D view both run
+        a = rng.integers(0, 3, 1 << nbits).astype(dtype)
+        want = np.array([op.reduce([a[t] for t in range(1 << nbits) if t & s == t])
+                         for s in range(1 << nbits)], dtype=dtype)
+        _zeta(a, nbits, op)
+        assert np.array_equal(a, want)
+
+    @pytest.mark.parametrize("comps", [(7,), (5, 1, 1)])
+    def test_overflow_refused_before_allocation(self, monkeypatch, comps):
+        def allocates(*args):
+            raise AssertionError("counts allocated before the overflow guard")
+        monkeypatch.setattr(oracle, "_core_counts", allocates)
+        with pytest.raises(OverflowError):
+            _inj_counts_all_graphs(9, comps)
+
+    def test_counts_are_uint16(self):
+        assert _inj_counts_all_graphs(8, (8,)).dtype == np.uint16
+        assert int(_inj_counts_all_graphs(5, (3, 1)).max()) == 5 * 4 * 3 * 2
+
+    def test_isolated_vertices_match_backtracking(self):
+        random.seed(13)
+        for n in (6, 7):
+            nbits = n * (n - 1) // 2
+            # the last two have more vertices than n
+            for comps in [(3, 1, 1), (2, 1, 1, 1), (1, 1, 1), (3, 1, 1, 1, 1), (1,) * (n + 1)]:
+                counts = _inj_counts_all_graphs(n, comps)
+                forest = LinearForest(comps)
+                if sum(comps) > n:
+                    assert not counts.any()
+                for mask in [0, (1 << nbits) - 1] + [random.randrange(1 << nbits)
+                                                     for _ in range(30)]:
+                    g = SmallGraph.from_edge_mask(n, mask)
+                    assert int(counts[mask]) == count_injective_homs_explicit(forest, g)
+
+    def test_closure_selector_matches_clique_search(self):
+        random.seed(17)
+        for n in (6, 7):
+            nbits = n * (n - 1) // 2
+            for r in (3, 4, 5):
+                ok = _clique_free_selector(n, r)
+                assert ok.dtype == bool and not ok.flags.writeable
+                for mask in [0, (1 << nbits) - 1] + [random.randrange(1 << nbits)
+                                                     for _ in range(40)]:
+                    g = SmallGraph.from_edge_mask(n, mask)
+                    assert bool(ok[mask]) == is_clique_free(g, r)
+
+    def test_closure_selector_matches_brute_numpy(self):
+        for r in (2, 3, 4, 7):
+            assert np.array_equal(_clique_free_selector(6, r), _brute_selector(6, r))
+
+    @pytest.mark.parametrize("shard_bits", [10, 18])
+    def test_scan_witnesses_are_first_ties(self, monkeypatch, shard_bits):
+        monkeypatch.setattr(oracle, "_SHARD_SIZE", 1 << shard_bits)
+        n = 6
+        for comps, k, cap in [((1,), 2, 10), ((3,), 2, 3), ((2, 2), 3, 10),
+                              ((4, 1), 2, 0), ((2,), 4, 50)]:
+            forest = LinearForest(comps)
+            counts = _inj_counts_all_graphs(n, comps).astype(np.int64)
+            ok = _brute_selector(n, k + 1)
+            best = counts[ok].max()
+            want = np.flatnonzero(ok & (counts == best))[:cap].tolist()
+            r = extremal_search(forest, n, k, witness_cap=cap)
+            assert [w.edge_mask() for w in r.witnesses] == want
+            assert r.max_count * oracle.aut_order(forest) == best
+
+    def test_memory_preflight_refuses(self, monkeypatch, capsys):
+        from turangood.cli import run
+        need = oracle._peak_bytes(6, (3,))
+        monkeypatch.setattr(oracle, "_mem_available", lambda: need - 1)
+        with pytest.raises(ValueError, match="MiB"):
+            extremal_search(LinearForest((3,)), 6, 2)
+        assert run(["verify", "conjecture", "--forest", "3", "--n", "6", "--k", "2"]) == 2
+        assert "MiB" in capsys.readouterr().err
+        monkeypatch.setattr(oracle, "_mem_available", lambda: need)
+        assert extremal_search(LinearForest((3,)), 6, 2).max_count == 18
+        monkeypatch.setattr(oracle, "_mem_available", lambda: None)
+        assert extremal_search(LinearForest((3,)), 6, 2).max_count == 18
+
+    def test_peak_estimate_covers_core_array(self):
+        size = 1 << 28
+        assert oracle._peak_bytes(8, (3,)) >= 3 * size
+        assert oracle._peak_bytes(8, (3, 1)) >= 5 * size
+        assert oracle._mem_available() is None or oracle._mem_available() > 0
 
 
 class TestExtremalSearch:

@@ -34,6 +34,9 @@ masks are seeded and closed upward with OR, then complemented.  One
 thread scans fixed shards of masks for the best count and the smallest
 tied masks.  The result is exact and is spot-checked against the
 backtracking counter and the clique search on every witness it returns.
+Only these array stages use numpy, and they import it when they first
+run, so importing the package and every command but ``verify
+conjecture`` never load it.
 """
 
 from __future__ import annotations
@@ -42,11 +45,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import perm
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .forest import LinearForest, aut_order, back_edge_flags, copies_from_injective_homs
 from .multipartite import PartsLike, canonical_sizes, turan_parts
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_GRAPH_VERTICES = 10
 EXHAUSTIVE_CAP_DEFAULT = 7
@@ -55,7 +60,7 @@ WITNESS_CAP_DEFAULT = 10
 
 _SHARD_SIZE = 1 << 18
 """Edge masks per scan step; bounds the scan's temporaries."""
-_COUNT_MAX = np.iinfo(np.uint16).max
+_COUNT_MAX = 0xFFFF  # largest uint16, the dtype of the count arrays
 
 
 @lru_cache(maxsize=None)
@@ -195,16 +200,24 @@ def _inj_homs_explicit(comps: tuple[int, ...], n: int, adj: tuple[int, ...]) -> 
     flags = back_edge_flags(comps)
     total = len(flags)
     full = (1 << n) - 1
+    # what is left to place depends on the previous vertex only when the
+    # next one must be adjacent to it
+    memo: dict[tuple[int, int, int], int] = {}
 
     def rec(pos: int, prev: int, used: int) -> int:
         if pos == total:
             return 1
+        key = (pos, prev if flags[pos] else -1, used)
+        acc = memo.get(key)
+        if acc is not None:
+            return acc
         cand = (adj[prev] if flags[pos] else full) & ~used
         acc = 0
         while cand:
             vbit = cand & -cand
             cand ^= vbit
             acc += rec(pos + 1, vbit.bit_length() - 1, used | vbit)
+        memo[key] = acc
         return acc
 
     return rec(0, -1, 0)
@@ -296,6 +309,8 @@ def _clique_free_selector(n: int, r: int) -> np.ndarray:
     Containing K_r is an up-set: seed the C(n, r) clique masks, close
     upward with an OR transform, then complement in place.
     """
+    import numpy as np
+
     nbits = n * (n - 1) // 2
     eidx = _edge_index(n)
     sel = np.zeros(1 << nbits, dtype=bool)
@@ -312,6 +327,8 @@ def _core_counts(n: int, core: tuple[int, ...]) -> np.ndarray:
     """Per-mask injective homomorphism counts of a forest: the histogram
     of the edge masks that its placements into K_n demand, subset-summed
     so entry G holds the number of placements entirely inside G."""
+    import numpy as np
+
     nbits = n * (n - 1) // 2
     eidx = _edge_index(n)
     flags = back_edge_flags(core)
@@ -355,6 +372,8 @@ def _inj_counts_all_graphs(n: int, comps: tuple[int, ...]) -> np.ndarray:
     (the components of order >= 2) alone and is shared by every forest
     with that core.
     """
+    import numpy as np
+
     # every entry is bounded by the total placement count n!/(n-m)!,
     # so the uint16 array cannot wrap; refuse if that ever changes
     bound = perm(n, min(sum(comps), n))
@@ -376,6 +395,8 @@ def _scan_shard(counts: np.ndarray, ok: np.ndarray, lo: int, hi: int,
                 witness_cap: int) -> tuple[int, list[int]]:
     """Best count among the selected masks in [lo, hi) (0 when none is
     selected) and the first witness_cap selected masks that reach it."""
+    import numpy as np
+
     c = counts[lo:hi]
     sel = ok[lo:hi]
     best = int((c * sel).max())

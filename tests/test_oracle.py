@@ -3,7 +3,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from conftest import all_forests, brute_copies, multipartite_edge_set
+from conftest import all_forests, brute_copies, brute_inj_homs, multipartite_edge_set
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from turangood import (
     LinearForest,
@@ -66,6 +68,19 @@ class TestSmallGraph:
                 g = SmallGraph.from_edge_mask(n, mask)
                 assert SmallGraph.from_graph6(g.to_graph6()) == g
 
+    def test_graph6_matches_networkx_on_atlas(self):
+        nx = pytest.importorskip("networkx")
+        for h in nx.graph_atlas_g():  # every graph on <= 7 vertices, up to isomorphism
+            n = h.number_of_nodes()
+            edges = {tuple(sorted(e)) for e in h.edges()}
+            g = SmallGraph.from_edges(n, h.edges())
+            text = nx.to_graph6_bytes(h, header=False).rstrip(b"\n").decode()
+            assert g.to_graph6() == text
+            assert SmallGraph.from_graph6(text) == g
+            back = nx.from_graph6_bytes(g.to_graph6().encode())
+            assert back.number_of_nodes() == n
+            assert {tuple(sorted(e)) for e in back.edges()} == edges
+
 
 class TestExplicitMultipartite:
     def test_k22_is_four_cycle(self):
@@ -112,6 +127,18 @@ class TestCountCopiesExplicit:
                 for comps in [(2,), (3,), (2, 1), (2, 2)]:
                     assert (count_copies_explicit(LinearForest(comps), g)
                             == brute_copies(comps, n, eset))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_memoized_counter_matches_permutations(self, data):
+        n = data.draw(st.integers(0, 6))
+        nbits = n * (n - 1) // 2
+        g = SmallGraph.from_edge_mask(n, data.draw(st.integers(0, (1 << nbits) - 1)))
+        comps = [data.draw(st.integers(1, 6))]  # forests on <= 6 vertices
+        while sum(comps) < 6 and data.draw(st.booleans()):
+            comps.append(data.draw(st.integers(1, 6 - sum(comps))))
+        assert (count_injective_homs_explicit(LinearForest(tuple(comps)), g)
+                == brute_inj_homs(comps, n, set(g.edges())))
 
 
 class TestIsCliqueFree:
@@ -210,6 +237,9 @@ class TestLeanEngine:
         monkeypatch.setattr(oracle, "_core_counts", allocates)
         with pytest.raises(OverflowError):
             _inj_counts_all_graphs(9, comps)
+
+    def test_count_max_is_uint16_max(self):
+        assert oracle._COUNT_MAX == np.iinfo(np.uint16).max
 
     def test_counts_are_uint16(self):
         assert _inj_counts_all_graphs(8, (8,)).dtype == np.uint16

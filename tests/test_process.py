@@ -1,0 +1,73 @@
+"""Checks that need a fresh interpreter: the ``python -m`` entry points,
+and which modules start-up loads.  numpy belongs to the exhaustive array
+engine alone, so only ``verify conjecture`` may import it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import turangood
+from turangood.cli import run
+
+SRC = str(Path(turangood.__file__).resolve().parents[1])
+
+
+def python(*args: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, check=False, timeout=120)
+
+
+def numpy_loaded_after(*argvs: list[str]) -> bool:
+    """Import the CLI, run each argv through cli.run, report whether numpy
+    got imported."""
+    code = ("import contextlib, io, sys\n"
+            "import turangood, turangood.cli as cli\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.run(argv) == 0, argv\n"
+            "print('numpy' in sys.modules)\n")
+    proc = python("-c", code)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout.decode().strip() == "True"
+
+
+class TestEntryPoints:
+    ARGV = ["count", "--forest", "3", "--parts", "2,3", "--format", "json"]
+
+    @pytest.mark.parametrize("module", ["turangood", "turangood.cli"])
+    def test_prints_what_run_prints(self, module, capsys):
+        assert run(self.ARGV) == 0
+        expected = capsys.readouterr().out.encode()
+        proc = python("-m", module, *self.ARGV)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == expected
+
+    @pytest.mark.parametrize("module", ["turangood", "turangood.cli"])
+    def test_usage_error_exits_2(self, module):
+        proc = python("-m", module, "count", "--parts", "2,3")
+        assert proc.returncode == 2
+        assert b"--forest" in proc.stderr
+
+
+class TestStartupImports:
+    def test_import_leaves_numpy_unloaded(self):
+        assert not numpy_loaded_after()
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--forest", "3,1", "--parts", "2,3"],
+        ["table", "--forest", "2", "--k", "2", "--n", "1..6"],
+        ["verify", "multipartite-max", "--forest", "3,2", "--n", "8", "--k", "3"],
+        ["verify", "balance", "--forest", "3", "--parts", "1,4"],
+        ["verify", "odd-identity", "--forest", "5,3", "--n", "8..10"],
+        ["verify", "even-identity", "--forest", "4,2"],
+        ["verify", "isolated-identity", "--forest", "3,1", "--n", "4..6"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_commands_without_arrays_leave_numpy_unloaded(self, argv):
+        assert not numpy_loaded_after(argv)
+
+    def test_conjecture_loads_numpy(self):
+        assert numpy_loaded_after(["verify", "conjecture", "--forest", "3", "--n", "5", "--k", "2"])

@@ -25,15 +25,20 @@ whose demanded edges all lie inside G is obtained for every G at once
 by a subset-sum (zeta) transform over edge masks.  Counts are uint16:
 no entry exceeds the total placement count n!/(n-m)! <= 8! = 40320, and
 an overflow guard refuses any forest and n where that bound would not
-hold.  Isolated vertices demand no edge, so the transform runs on the
-forest's edge core (its components of order >= 2) and the counts are
-scaled by the falling factorial of the vertices the core leaves free;
-forests with one core share one transform.  The K_{k+1}-free selector
-uses the same transform: containing a clique is an up-set, so the clique
-masks are seeded and closed upward with OR, then complemented.  One
-thread scans fixed shards of masks for the best count and the smallest
-tied masks.  The result is exact and is spot-checked against the
-backtracking counter and the clique search on every witness it returns.
+hold.  The K_{k+1}-free selector uses the same transform: containing a
+clique is an up-set, so the clique masks are seeded and closed upward
+with OR, then complemented.  One thread scans fixed shards of masks for
+the best count and the smallest tied masks.
+
+Isolated vertices demand no edge: each multiplies every count by the
+number of vertices still free, a positive factor that keeps the order
+and the ties.  So the search runs once per edge core (the components of
+order >= 2), k and witness cap, and its result (the best core count and
+the tied masks, never an array) is cached; every forest with that core
+scales the count and reuses the masks.  Only the most recent count
+array is kept, so at most one outlives a search.  The result is exact
+and is spot-checked, per forest and uncached, against the backtracking
+counter and the clique search on every witness it returns.
 Only these array stages use numpy, and they import it when they first
 run, so importing the package and every command but ``verify
 conjecture`` never load it.
@@ -197,30 +202,23 @@ def explicit_multipartite(parts: PartsLike) -> SmallGraph:
 
 @lru_cache(maxsize=1 << 16)
 def _inj_homs_explicit(comps: tuple[int, ...], n: int, adj: tuple[int, ...]) -> int:
-    flags = back_edge_flags(comps)
-    total = len(flags)
+    flags = back_edge_flags(comps) + (False,)
     full = (1 << n) - 1
-    # what is left to place depends on the previous vertex only when the
-    # next one must be adjacent to it
-    memo: dict[tuple[int, int, int], int] = {}
-
-    def rec(pos: int, prev: int, used: int) -> int:
-        if pos == total:
-            return 1
-        key = (pos, prev if flags[pos] else -1, used)
-        acc = memo.get(key)
-        if acc is not None:
-            return acc
-        cand = (adj[prev] if flags[pos] else full) & ~used
-        acc = 0
-        while cand:
-            vbit = cand & -cand
-            cand ^= vbit
-            acc += rec(pos + 1, vbit.bit_length() - 1, used | vbit)
-        memo[key] = acc
-        return acc
-
-    return rec(0, -1, 0)
+    # placements of the first pos vertices, keyed by (previous vertex if
+    # the next one must be adjacent to it, else -1; used-vertex mask)
+    layer = {(-1, 0): 1}
+    for pos in range(len(flags) - 1):
+        keep_prev = flags[pos + 1]
+        nxt: dict[tuple[int, int], int] = {}
+        for (prev, used), ways in layer.items():
+            cand = (adj[prev] if prev >= 0 else full) & ~used
+            while cand:
+                vbit = cand & -cand
+                cand ^= vbit
+                key = (vbit.bit_length() - 1 if keep_prev else -1, used | vbit)
+                nxt[key] = nxt.get(key, 0) + ways
+        layer = nxt
+    return sum(layer.values())
 
 
 def count_injective_homs_explicit(forest: LinearForest, g: SmallGraph) -> int:
@@ -322,7 +320,6 @@ def _clique_free_selector(n: int, r: int) -> np.ndarray:
     return sel
 
 
-@lru_cache(maxsize=16)
 def _core_counts(n: int, core: tuple[int, ...]) -> np.ndarray:
     """Per-mask injective homomorphism counts of a forest: the histogram
     of the edge masks that its placements into K_n demand, subset-summed
@@ -363,14 +360,15 @@ def _core_counts(n: int, core: tuple[int, ...]) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def _inj_counts_all_graphs(n: int, comps: tuple[int, ...]) -> np.ndarray:
     """Injective homomorphism counts of the forest for every edge mask.
 
     Isolated vertices demand no edge: each multiplies every count by the
     number of vertices still free, so the transform runs on the edge core
-    (the components of order >= 2) alone and is shared by every forest
-    with that core.
+    (the components of order >= 2) alone.  The search passes the core
+    itself; the scaled copy is built only for other callers.  One
+    entry is kept, so at most one count array outlives a search.
     """
     import numpy as np
 
@@ -405,6 +403,28 @@ def _scan_shard(counts: np.ndarray, ok: np.ndarray, lo: int, hi: int,
     return best, [lo + int(m) for m in np.flatnonzero(tied)[:witness_cap]]
 
 
+@lru_cache(maxsize=256)
+def _core_search(n: int, core: tuple[int, ...], k: int,
+                 witness_cap: int) -> tuple[int, tuple[int, ...]]:
+    """Best injective homomorphism count of the edge core over the
+    K_{k+1}-free graphs on n labeled vertices, and the first witness_cap
+    masks that reach it.  Holds no array, so caching it is cheap: every
+    forest with this core reuses the scan."""
+    size = 1 << (n * (n - 1) // 2)
+    # counts first: the first numpy import lands in the counting stage
+    counts = _inj_counts_all_graphs(n, core)
+    ok = _clique_free_selector(n, k + 1)
+    # shards in mask order: a later shard only adds ties past earlier ones
+    max_inj, witness_masks = -1, []
+    for lo in range(0, size, _SHARD_SIZE):
+        best, ties = _scan_shard(counts, ok, lo, min(lo + _SHARD_SIZE, size), witness_cap)
+        if best > max_inj:
+            max_inj, witness_masks = best, ties
+        elif best == max_inj:
+            witness_masks = (witness_masks + ties)[:witness_cap]
+    return max_inj, tuple(witness_masks)
+
+
 def _mem_available() -> int | None:
     """MemAvailable in bytes from /proc/meminfo; None where unreadable."""
     try:
@@ -417,15 +437,13 @@ def _mem_available() -> int | None:
     return None
 
 
-def _peak_bytes(n: int, comps: tuple[int, ...]) -> int:
+def _peak_bytes(n: int) -> int:
     """Upper estimate of the array bytes one search allocates."""
     size = 1 << (n * (n - 1) // 2)
     shard = min(size, _SHARD_SIZE)
-    peak = 3 * size  # uint16 counts, bool selector inverted in place
-    if 1 in comps:
-        peak += 2 * size  # the core counts the forest's counts are scaled from
-    # scan: masked uint16 product, tie mask, tie indices of one shard
-    return peak + shard * (2 + 1 + 8)
+    # uint16 core counts, bool selector inverted in place; then the scan's
+    # masked uint16 product, tie mask and tie indices of one shard
+    return 3 * size + shard * (2 + 1 + 8)
 
 
 def extremal_search(forest: LinearForest, n: int, k: int, *,
@@ -448,24 +466,21 @@ def extremal_search(forest: LinearForest, n: int, k: int, *,
         raise ValueError(f"n={n} outside [0, {cap}]; refusing unbounded scan")
     if witness_cap < 0:
         raise ValueError("witness cap must be >= 0")
-    need = _peak_bytes(n, forest.components)
+    need = _peak_bytes(n)
     avail = _mem_available()
     if avail is not None and need > avail:
         raise ValueError(f"n={n} needs about {need >> 20} MiB of arrays, "
                          f"only {avail >> 20} MiB available")
 
-    size = 1 << (n * (n - 1) // 2)
-    counts = _inj_counts_all_graphs(n, forest.components)
-    ok = _clique_free_selector(n, k + 1)
-
-    # shards in mask order: a later shard only adds ties past earlier ones
-    max_inj, witness_masks = -1, []
-    for lo in range(0, size, _SHARD_SIZE):
-        best, ties = _scan_shard(counts, ok, lo, min(lo + _SHARD_SIZE, size), witness_cap)
-        if best > max_inj:
-            max_inj, witness_masks = best, ties
-        elif best == max_inj:
-            witness_masks = (witness_masks + ties)[:witness_cap]
+    # isolated vertices scale every count by one positive factor, which
+    # keeps the order and the ties.  A forest with more than n vertices
+    # has no placement: every count is 0 and every selected mask ties,
+    # as under the empty core, whose counts are all 1.
+    comps = forest.components
+    core = tuple(c for c in comps if c >= 2)
+    factor = perm(n - sum(core), len(comps) - len(core)) if sum(comps) <= n else 0
+    core_max, witness_masks = _core_search(n, core if factor else (), k, witness_cap)
+    max_inj = core_max * factor
 
     max_count = copies_from_injective_homs(max_inj, aut_order(forest))
     turan_graph = explicit_multipartite(turan_parts(n, k))
@@ -474,9 +489,9 @@ def extremal_search(forest: LinearForest, n: int, k: int, *,
     witnesses = []
     for mask in witness_masks:
         g = SmallGraph.from_edge_mask(n, mask)
-        # engine self-check: transformed counts and clique filter must
-        # agree with the plain backtracking reference on every witness
-        if count_injective_homs_explicit(forest, g) != int(counts[mask]):
+        # engine self-check: the reported maximum and the clique filter
+        # must agree with the plain backtracking reference on every witness
+        if count_injective_homs_explicit(forest, g) != max_inj:
             raise RuntimeError(f"scan self-check failed on mask {mask}")
         if not is_clique_free(g, k + 1):
             raise RuntimeError(f"clique filter self-check failed on mask {mask}")
@@ -488,5 +503,5 @@ def extremal_search(forest: LinearForest, n: int, k: int, *,
     return ExtremalResult(
         forest=forest, n=n, k=k,
         max_count=max_count, turan_count=turan_count,
-        witnesses=tuple(witnesses), graphs_scanned=size,
+        witnesses=tuple(witnesses), graphs_scanned=1 << (n * (n - 1) // 2),
     )

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -278,6 +279,8 @@ class TestLeanEngine:
 
     @pytest.mark.parametrize("shard_bits", [10, 18])
     def test_scan_witnesses_are_first_ties(self, monkeypatch, shard_bits):
+        # a cached result would skip the scan at this shard size
+        oracle._core_search.cache_clear()
         monkeypatch.setattr(oracle, "_SHARD_SIZE", 1 << shard_bits)
         n = 6
         for comps, k, cap in [((1,), 2, 10), ((3,), 2, 3), ((2, 2), 3, 10),
@@ -293,7 +296,7 @@ class TestLeanEngine:
 
     def test_memory_preflight_refuses(self, monkeypatch, capsys):
         from turangood.cli import run
-        need = oracle._peak_bytes(6, (3,))
+        need = oracle._peak_bytes(6)
         monkeypatch.setattr(oracle, "_mem_available", lambda: need - 1)
         with pytest.raises(ValueError, match="MiB"):
             extremal_search(LinearForest((3,)), 6, 2)
@@ -305,10 +308,58 @@ class TestLeanEngine:
         assert extremal_search(LinearForest((3,)), 6, 2).max_count == 18
 
     def test_peak_estimate_covers_core_array(self):
-        size = 1 << 28
-        assert oracle._peak_bytes(8, (3,)) >= 3 * size
-        assert oracle._peak_bytes(8, (3, 1)) >= 5 * size
+        assert oracle._peak_bytes(8) >= 3 * (1 << 28)
         assert oracle._mem_available() is None or oracle._mem_available() > 0
+        # numpy reports its buffers to tracemalloc; a search from cold
+        # caches must allocate no more than the pre-flight assumes
+        for n in (6, 7):
+            for comps in [(3,), (3, 1), (2, 2, 1)]:
+                clear_engine_caches()
+                tracemalloc.start()
+                try:
+                    extremal_search(LinearForest(comps), n, 2)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= oracle._peak_bytes(n), (n, comps, peak)
+
+
+def clear_engine_caches():
+    for fn in (oracle._core_search, _inj_counts_all_graphs, _clique_free_selector):
+        fn.cache_clear()
+
+
+class TestCoreSearchCache:
+    """Forests that share an edge core share one cached scan; each result
+    must equal a search run from cold caches."""
+
+    SPECS = [(comps, k, cap)
+             for comps in [(3,), (3, 1), (3, 1, 1), (4, 1, 1, 1),  # core (3,) or (4,)
+                           (2, 2), (4,), (2, 1), (5,)]
+             for k in (2, 3) for cap in (0, 3, 10)]
+
+    def test_results_equal_cold_searches(self):
+        n = 6
+        cold = {}
+        for comps, k, cap in self.SPECS:
+            clear_engine_caches()
+            cold[comps, k, cap] = extremal_search(LinearForest(comps), n, k, witness_cap=cap)
+        # the core of (4, 1, 1, 1) fits, the forest does not: every count
+        # is 0, so the witnesses are the first K_{k+1}-free masks
+        for k in (2, 3):
+            first_free = np.flatnonzero(_brute_selector(n, k + 1))[:10].tolist()
+            r = cold[(4, 1, 1, 1), k, 10]
+            assert r.max_count == 0
+            assert [w.edge_mask() for w in r.witnesses] == first_free
+        rng = random.Random(23)
+        clear_engine_caches()
+        for _ in range(3):
+            order = self.SPECS[:]
+            rng.shuffle(order)
+            for comps, k, cap in order:
+                got = extremal_search(LinearForest(comps), n, k, witness_cap=cap)
+                assert got == cold[comps, k, cap], (comps, k, cap)
+        assert oracle._core_search.cache_info().hits > 0
 
 
 class TestExtremalSearch:

@@ -1,6 +1,7 @@
 """Checks that need a fresh interpreter: the ``python -m`` entry points,
-and which modules start-up loads.  numpy belongs to the exhaustive array
-engine alone, so only ``verify conjecture`` may import it."""
+which modules start-up loads (numpy belongs to the exhaustive array
+engine alone, so only ``verify conjecture`` may import it), the
+benchmark's tracer, and how many count arrays a process keeps."""
 
 import os
 import subprocess
@@ -13,6 +14,7 @@ import turangood
 from turangood.cli import run
 
 SRC = str(Path(turangood.__file__).resolve().parents[1])
+BENCH = str(Path(__file__).resolve().parents[1] / "bench")
 
 
 def python(*args: str) -> subprocess.CompletedProcess:
@@ -71,3 +73,44 @@ class TestStartupImports:
 
     def test_conjecture_loads_numpy(self):
         assert numpy_loaded_after(["verify", "conjecture", "--forest", "3", "--n", "5", "--k", "2"])
+
+
+class TestTracedRuns:
+    """``bench/spans.py`` rebinds engine functions to plain wrappers; the
+    CLI must print the same bytes with them in place."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "conjecture", "--forest", "3,1", "--n", "6", "--k", "2..3"],
+        ["verify", "multipartite-max", "--forest", "3,2", "--n", "8", "--k", "3"],
+    ], ids=lambda argv: argv[1])
+    def test_tracer_keeps_output(self, argv):
+        def cli(traced: bool) -> subprocess.CompletedProcess:
+            lines = ["import sys", "from turangood import cli"]
+            if traced:
+                lines += [f"sys.path.insert(0, {BENCH!r})", "from spans import Tracer",
+                          "tracer = Tracer()", "tracer.install()"]
+            lines += [f"rc = cli.run({argv!r})", "sys.stdout.flush()"]
+            if traced:
+                lines.append("print(len(tracer.spans), file=sys.stderr)")
+            return python("-c", "\n".join(lines + ["sys.exit(rc)"]))
+
+        plain, traced = cli(False), cli(True)
+        assert plain.returncode == 0, plain.stderr.decode()
+        assert (traced.returncode, traced.stdout) == (plain.returncode, plain.stdout)
+        assert int(traced.stderr.decode().split()[-1]) > 0
+
+
+def test_one_count_array_outlives_searches():
+    code = ("import gc\n"
+            "import numpy as np\n"
+            "from turangood import LinearForest, extremal_search\n"
+            "for comps in [(3,), (2, 2), (3, 1), (4,), (2,), (5,)]:\n"
+            "    extremal_search(LinearForest(comps), 7, 2)\n"
+            "gc.collect()\n"
+            "# arrays are not gc-tracked; find them among what tracked objects hold\n"
+            "live = {id(o) for r in gc.get_objects() for o in (r, *gc.get_referents(r))\n"
+            "        if isinstance(o, np.ndarray) and o.dtype == np.uint16 and o.size == 1 << 21}\n"
+            "print(len(live))\n")
+    proc = python("-c", code)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert int(proc.stdout) <= 1

@@ -24,7 +24,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .forest import LinearForest, aut_order, copies_from_injective_homs
 from .multipartite import PartSizes, count_copies_turan, count_injective_homs, turan_parts
@@ -37,18 +36,28 @@ CLAIMS = ("multipartite-max", "balance", "odd-identity", "even-identity",
 FORMATS = ("human", "json", "csv")
 
 
-@dataclass
 class RunConfig:
-    subcommand: str
-    fmt: str
-    forest: LinearForest | None = None
-    parts: PartSizes | None = None
-    claim: str | None = None
-    n_range: tuple[int, int] | None = None
-    k_range: tuple[int, int] | None = None
-    cap: int = EXHAUSTIVE_CAP_DEFAULT
-    workers: int | None = None
-    witness_cap: int = WITNESS_CAP_DEFAULT
+    """One command line, parsed and validated."""
+
+    def __init__(self, subcommand: str, fmt: str,
+                 forest: LinearForest | None = None,
+                 parts: PartSizes | None = None,
+                 claim: str | None = None,
+                 n_range: tuple[int, int] | None = None,
+                 k_range: tuple[int, int] | None = None,
+                 cap: int = EXHAUSTIVE_CAP_DEFAULT,
+                 workers: int | None = None,
+                 witness_cap: int = WITNESS_CAP_DEFAULT) -> None:
+        self.subcommand = subcommand
+        self.fmt = fmt
+        self.forest = forest
+        self.parts = parts
+        self.claim = claim
+        self.n_range = n_range
+        self.k_range = k_range
+        self.cap = cap
+        self.workers = workers
+        self.witness_cap = witness_cap
 
 
 def _env_default(name: str, fallback):
@@ -274,7 +283,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(subcommand=args.subcommand, fmt=args.format)
     cfg.forest = LinearForest.parse(args.forest)
     if args.subcommand == "count":
-        cfg.parts = (_parse_turan(args.turan) if args.turan
+        cfg.parts = (_parse_turan(args.turan) if args.turan is not None
                      else PartSizes.parse(args.parts))
         return cfg
     if args.subcommand == "table":

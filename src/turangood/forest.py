@@ -14,22 +14,58 @@ nonempty.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import factorial
 
 
-@dataclass(frozen=True, slots=True)
-class LinearForest:
+class Record:
+    """Immutable value whose fields are its ``__slots__``: equality,
+    hashing and repr by field value, as a frozen dataclass has.  A
+    subclass's ``__init__`` validates and stores its fields with ``_set``.
+    Since assignment raises, copy and pickle need ``__reduce__``: it
+    rebuilds through the constructor."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class LinearForest(Record):
     """Multiset of path orders, canonicalized to non-increasing order."""
 
-    components: tuple[int, ...] = ()
+    __slots__ = ("components",)
 
-    def __post_init__(self) -> None:
-        comps = tuple(sorted((int(c) for c in self.components), reverse=True))
+    def __init__(self, components: tuple[int, ...] = ()) -> None:
+        comps = tuple(sorted((int(c) for c in components), reverse=True))
         for c in comps:
             if c < 1:
                 raise ValueError(f"component order must be >= 1, got {c}")
-        object.__setattr__(self, "components", comps)
+        self._set(comps)
 
     @classmethod
     def parse(cls, text: str) -> "LinearForest":

@@ -27,14 +27,12 @@ counts are exact at any magnitude.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Iterable, Union
+from collections.abc import Iterable
 
-from .forest import LinearForest, aut_order, back_edge_flags, copies_from_injective_homs
+from .forest import LinearForest, Record, aut_order, back_edge_flags, copies_from_injective_homs
 
 
-@dataclass(frozen=True, slots=True)
-class PartSizes:
+class PartSizes(Record):
     """Part cardinalities of a complete multipartite graph.
 
     Sizes are kept in the order given (positions matter for the
@@ -43,14 +41,14 @@ class PartSizes:
     underlying graph: counts only depend on it.
     """
 
-    sizes: tuple[int, ...] = ()
+    __slots__ = ("sizes",)
 
-    def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.sizes)
+    def __init__(self, sizes: tuple[int, ...] = ()) -> None:
+        sizes = tuple(int(s) for s in sizes)
         for s in sizes:
             if s < 0:
                 raise ValueError(f"part size must be >= 0, got {s}")
-        object.__setattr__(self, "sizes", sizes)
+        self._set(sizes)
 
     @classmethod
     def parse(cls, text: str) -> "PartSizes":
@@ -79,7 +77,7 @@ class PartSizes:
         return tuple(s for s in sorted(self.sizes, reverse=True) if s > 0)
 
 
-PartsLike = Union[PartSizes, Iterable[int]]
+PartsLike = PartSizes | Iterable[int]
 
 
 def canonical_sizes(parts: PartsLike) -> tuple[int, ...]:

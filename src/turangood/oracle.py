@@ -46,15 +46,14 @@ conjecture`` never load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import perm
-from typing import TYPE_CHECKING
 
-from .forest import LinearForest, aut_order, back_edge_flags, copies_from_injective_homs
+from .forest import LinearForest, Record, aut_order, back_edge_flags, copies_from_injective_homs
 from .multipartite import PartsLike, canonical_sizes, turan_parts
 
+TYPE_CHECKING = False  # type checkers read it as True; spares importing typing
 if TYPE_CHECKING:
     import numpy as np
 
@@ -82,30 +81,29 @@ def _edge_index(n: int) -> dict:
     return idx
 
 
-@dataclass(frozen=True, slots=True)
-class SmallGraph:
+class SmallGraph(Record):
     """Simple graph on at most MAX_GRAPH_VERTICES vertices.
 
     adj[v] is the neighbor bitmask of vertex v.
     """
 
-    n: int
-    adj: tuple[int, ...]
+    __slots__ = ("n", "adj")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_GRAPH_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside [0, {MAX_GRAPH_VERTICES}]")
-        if len(self.adj) != self.n:
+    def __init__(self, n: int, adj: tuple[int, ...]) -> None:
+        if not 0 <= n <= MAX_GRAPH_VERTICES:
+            raise ValueError(f"vertex count {n} outside [0, {MAX_GRAPH_VERTICES}]")
+        if len(adj) != n:
             raise ValueError("adjacency length differs from vertex count")
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+        full = (1 << n) - 1
+        for v, row in enumerate(adj):
             if row & ~full:
                 raise ValueError(f"adjacency of vertex {v} references missing vertices")
             if row >> v & 1:
                 raise ValueError(f"vertex {v} has a self-loop")
-            for u in range(self.n):
-                if (row >> u & 1) != (self.adj[u] >> v & 1):
+            for u in range(n):
+                if (row >> u & 1) != (adj[u] >> v & 1):
                     raise ValueError("adjacency is not symmetric")
+        self._set(n, adj)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "SmallGraph":
@@ -256,17 +254,16 @@ def is_clique_free(g: SmallGraph, r: int) -> bool:
 # Exhaustive search over all labeled graphs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class ExtremalResult:
+class ExtremalResult(Record):
     """Outcome of an exhaustive scan of the labeled n-vertex graphs."""
 
-    forest: LinearForest
-    n: int
-    k: int
-    max_count: int
-    turan_count: int
-    witnesses: tuple[SmallGraph, ...]
-    graphs_scanned: int
+    __slots__ = ("forest", "n", "k", "max_count", "turan_count", "witnesses",
+                 "graphs_scanned")
+
+    def __init__(self, forest: LinearForest, n: int, k: int, max_count: int,
+                 turan_count: int, witnesses: tuple[SmallGraph, ...],
+                 graphs_scanned: int) -> None:
+        self._set(forest, n, k, max_count, turan_count, witnesses, graphs_scanned)
 
     def to_json_dict(self) -> dict:
         return {

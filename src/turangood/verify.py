@@ -14,12 +14,11 @@ is an output of the run, never an input).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .forest import (
     LinearForest,
+    Record,
     delete_even_end_pair,
     delete_isolated,
     delete_odd_endpoint,
@@ -35,23 +34,22 @@ HOLDS = "holds"
 COUNTEREXAMPLE = "counterexample"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    claim: str
-    params: dict
-    verdict: str
-    maximizers: tuple[tuple[int, ...], ...] = ()
-    counterexample: dict | None = None
-    instances_checked: int = 0
-    ratio: str | None = None
+class VerificationReport(Record):
+    __slots__ = ("claim", "params", "verdict", "maximizers", "counterexample",
+                 "instances_checked", "ratio")
 
-    def __post_init__(self) -> None:
-        if self.verdict not in (HOLDS, COUNTEREXAMPLE):
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.verdict == HOLDS and self.counterexample is not None:
+    def __init__(self, claim: str, params: dict, verdict: str,
+                 maximizers: tuple[tuple[int, ...], ...] = (),
+                 counterexample: dict | None = None,
+                 instances_checked: int = 0, ratio: str | None = None) -> None:
+        if verdict not in (HOLDS, COUNTEREXAMPLE):
+            raise ValueError(f"unknown verdict {verdict!r}")
+        if verdict == HOLDS and counterexample is not None:
             raise ValueError("a holding verdict cannot carry a counterexample")
-        if self.instances_checked <= 0:
+        if instances_checked <= 0:
             raise ValueError("instances_checked must be positive")
+        self._set(claim, params, verdict, maximizers, counterexample,
+                  instances_checked, ratio)
 
     @property
     def holds(self) -> bool:
@@ -93,11 +91,15 @@ def _bipartitions(n: int) -> Iterator[tuple[int, int]]:
 
 
 def _n_values(n_range: Iterable[int]) -> list[int]:
+    """The sorted distinct n of an identity sweep; below n = 2 no host has
+    two nonempty parts, so a range without such an n would check nothing."""
     values = sorted(set(int(n) for n in n_range))
     if not values:
         raise ValueError("n range must be nonempty")
     if values[0] < 0:
         raise ValueError("n must be >= 0")
+    if values[-1] < 2:
+        raise ValueError("n range has no n >= 2, so no host with two nonempty parts")
     return values
 
 
@@ -229,7 +231,7 @@ def _ratio_report(claim: str, params: dict, samples: list, checked: int) -> Veri
     if len(ratios) <= 1:
         ratio = str(ratios[0]) if ratios else None
         return VerificationReport(claim, params, HOLDS,
-                                  instances_checked=max(checked, 1), ratio=ratio)
+                                  instances_checked=checked, ratio=ratio)
     first = next(s for s in samples if s[1] == ratios[0])
     other = next(s for s in samples if s[1] == ratios[-1])
     return VerificationReport(
@@ -238,7 +240,7 @@ def _ratio_report(claim: str, params: dict, samples: list, checked: int) -> Veri
             "host_a": first[0], "ratio_a": str(first[1]),
             "host_b": other[0], "ratio_b": str(other[1]),
         },
-        instances_checked=max(checked, 1),
+        instances_checked=checked,
     )
 
 
@@ -249,6 +251,8 @@ def verify_odd_extension_identity(forest: LinearForest, order: int,
     number of even components of the shrunken order.  The ratio of the
     two sides must be one constant over all complete bipartite hosts
     and all n in the range."""
+    from fractions import Fraction  # here, not at start-up: it imports decimal
+
     shrunk = delete_odd_endpoint(forest, order)
     x = shrunk.multiplicity(order - 1)
     values = _n_values(n_range)
@@ -276,6 +280,8 @@ def verify_even_extension_identity(forest: LinearForest, order: int,
     K_{a,b} leaves K_{a-1,b-1}, a component of the shrunken order can be
     extended at two ends, and when the component vanishes (order 2) the
     edge itself becomes the new component with a single orientation."""
+    from fractions import Fraction  # here, not at start-up: it imports decimal
+
     shrunk = delete_even_end_pair(forest, order)
     if order >= 4:
         y = shrunk.multiplicity(order - 2)
@@ -323,7 +329,7 @@ def verify_isolated_identity(forest: LinearForest,
                     instances_checked=checked,
                 )
     return VerificationReport("isolated-identity", params, HOLDS,
-                              instances_checked=max(checked, 1))
+                              instances_checked=checked)
 
 
 def verify_conjecture(forest: LinearForest, n: int, k: int, *,

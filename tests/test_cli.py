@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import sys
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from turangood import VerificationReport
-from turangood.cli import run
+from turangood.cli import CLAIMS, FORMATS, run
 
 
 def invoke(capsys, *argv):
@@ -90,6 +94,12 @@ class TestCount:
         code, _, _ = invoke(capsys, "count", "--forest", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("host", [["--turan", ""], ["--parts", ""]])
+    def test_empty_host_exits_2(self, capsys, host):
+        code, out, err = invoke(capsys, "count", "--forest", "3", *host)
+        assert (code, out) == (2, "")
+        assert err.startswith("turangood: error: ") and "Traceback" not in err
+
     def test_both_hosts_exit_2(self, capsys):
         code, _, _ = invoke(capsys, "count", "--forest", "3",
                             "--parts", "2,3", "--turan", "5/2")
@@ -162,6 +172,17 @@ class TestVerify:
     def test_identity_on_inapplicable_forest_exits_2(self, capsys):
         code, _, _ = invoke(capsys, "verify", "odd-identity", "--forest", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("claim, forest", [
+        ("odd-identity", "3"), ("even-identity", "2"), ("isolated-identity", "2,1")])
+    def test_identity_range_without_hosts_exits_2(self, capsys, claim, forest):
+        code, out, err = invoke(capsys, "verify", claim, "--forest", forest, "--n", "0..1")
+        assert (code, out) == (2, "")
+        assert err.startswith("turangood: error: ") and err.count("\n") == 1
+        code, out, _ = invoke(capsys, "verify", claim, "--forest", forest, "--n", "0..2",
+                              "--format", "json")
+        assert code == 0
+        assert json.loads(out)[0]["instances_checked"] == 1
 
     def test_counterexample_exits_1(self, capsys, monkeypatch):
         fake = VerificationReport(
@@ -264,3 +285,64 @@ class TestDeterminism:
             assert code == 0
             outputs.append(out)
         assert len(set(outputs)) == 1
+
+
+
+
+# Numbers stay in -2..6 and junk has no digits, so every n, part size and
+# forest order is small and no example is expensive (conjecture at n <= 6,
+# no --cap above 7).
+_num = st.integers(-2, 6).map(str)
+_list = st.lists(st.integers(1, 6).map(str), min_size=1, max_size=3).map(",".join)
+_range = st.one_of(_num, st.tuples(_num, _num).map(lambda ab: "..".join(sorted(ab))))
+_junk = st.text(alphabet=" -.,/=xh", max_size=4)
+_OPTIONS = {
+    "--forest": _list, "--parts": _list, "--turan": st.tuples(_num, _num).map("/".join),
+    "--n": _range, "--k": _range, "--cap": _num, "--workers": _num, "--witnesses": _num,
+    "--format": st.sampled_from(FORMATS),
+}
+_NEEDS = {"multipartite-max": ("--n", "--k"), "conjecture": ("--n", "--k"),
+          "balance": ("--parts",)}
+# each command with the options it needs besides --forest
+_COMMANDS = [(["count"], ("--parts",)), (["count"], ("--turan",)), (["table"], ("--n", "--k")),
+             *((["verify", claim], _NEEDS.get(claim, ())) for claim in CLAIMS)]
+_JUNK_TOKEN = st.one_of(_junk, _num, st.sampled_from(["--bogus", "-h", "verify", *CLAIMS,
+                                                      *_OPTIONS]))
+
+
+
+def _one_in(n: int):
+    # sampled_from draws about uniformly (integers() favours its bounds)
+    # and shrinks to its first element: here, no junk
+    return st.sampled_from([False] * (n - 1) + [True])
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    """A command with its required options and up to three more, each
+    value now and then replaced by junk; then up to two junk tokens
+    spliced in anywhere."""
+    argv, needs = draw(st.sampled_from(_COMMANDS))
+    argv = list(argv)
+    extra = draw(st.lists(st.sampled_from(sorted(_OPTIONS)), max_size=3))
+    for flag in ("--forest", *needs, *extra):
+        argv += [flag, draw(_junk if draw(_one_in(10)) else _OPTIONS[flag])]
+    for _ in range(2):
+        if draw(_one_in(3)):
+            argv.insert(draw(st.sampled_from(range(len(argv), -1, -1))), draw(_JUNK_TOKEN))
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(argv=_argv())
+    def test_no_traceback_and_documented_exit_codes(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert "Traceback" not in out + err
+        assert code in (0, 1, 2), (code, err)
+        if code == 1:  # only a verifier's counterexample exits 1
+            assert ("verdict: counterexample" in out or '"verdict": "counterexample"' in out
+                    or ",counterexample," in out), out

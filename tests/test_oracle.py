@@ -421,6 +421,22 @@ class TestExtremalSearch:
         r = extremal_search(forest, 4, 2)
         assert r.max_count == best == 4
 
+    def test_matches_atlas_maximum(self):
+        # every graph on n <= 7 vertices up to isomorphism, with its clique
+        # number from networkx: the maximum over the K_{k+1}-free ones,
+        # counted by backtracking, is what the labeled scan must find
+        nx = pytest.importorskip("networkx")
+        forests = [LinearForest(c) for c in [(3,), (2, 2), (3, 1), (2, 1, 1), (4,)]]
+        for n in range(5, 8):
+            hosts = [(max(len(c) for c in nx.find_cliques(h)),
+                      SmallGraph.from_edges(n, h.edges()))
+                     for h in nx.graph_atlas_g() if h.number_of_nodes() == n]
+            for forest in forests:
+                counts = [(omega, count_copies_explicit(forest, g)) for omega, g in hosts]
+                for k in range(1, 4):
+                    best = max(c for omega, c in counts if omega <= k)
+                    assert extremal_search(forest, n, k).max_count == best, (forest, n, k)
+
 
 def test_oracle_equivalence_with_dp_small():
     from turangood.verify import partitions_at_most

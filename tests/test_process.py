@@ -1,8 +1,10 @@
 """Checks that need a fresh interpreter: the ``python -m`` entry points,
 which modules start-up loads (numpy belongs to the exhaustive array
-engine alone, so only ``verify conjecture`` may import it), the
-benchmark's tracer, and how many count arrays a process keeps."""
+engine alone, so only ``verify conjecture`` may import it; fractions to
+the two ratio verifiers), the benchmark's tracer, and how many count
+arrays a process keeps."""
 
+import json
 import os
 import subprocess
 import sys
@@ -23,18 +25,26 @@ def python(*args: str) -> subprocess.CompletedProcess:
                           capture_output=True, check=False, timeout=120)
 
 
-def numpy_loaded_after(*argvs: list[str]) -> bool:
-    """Import the CLI, run each argv through cli.run, report whether numpy
-    got imported."""
-    code = ("import contextlib, io, sys\n"
+def modules_added(*argvs: list[str]) -> list[set[str]]:
+    """Import the CLI, then run each argv through cli.run; return the
+    modules each step added to sys.modules, the import first.  Modules
+    that the interpreter's start-up (``site``) preloads do not count."""
+    code = ("import contextlib, io, json, sys\n"
+            "seen = set(sys.modules)\n"
+            "def added():\n"
+            "    new = sorted(set(sys.modules) - seen)\n"
+            "    seen.update(new)\n"
+            "    return new\n"
             "import turangood, turangood.cli as cli\n"
+            "steps = [added()]\n"
             f"for argv in {argvs!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert cli.run(argv) == 0, argv\n"
-            "print('numpy' in sys.modules)\n")
+            "    steps.append(added())\n"
+            "print(json.dumps(steps))\n")
     proc = python("-c", code)
     assert proc.returncode == 0, proc.stderr.decode()
-    return proc.stdout.decode().strip() == "True"
+    return [set(step) for step in json.loads(proc.stdout)]
 
 
 class TestEntryPoints:
@@ -57,7 +67,14 @@ class TestEntryPoints:
 
 class TestStartupImports:
     def test_import_leaves_numpy_unloaded(self):
-        assert not numpy_loaded_after()
+        assert "numpy" not in modules_added()[0]
+
+    def test_import_leaves_heavy_stdlib_unloaded(self):
+        # dataclasses pulls in inspect (and ast, dis, tokenize); fractions
+        # pulls in decimal; numpy belongs to the array engine
+        heavy = {"dataclasses", "inspect", "fractions", "decimal", "numpy"}
+        [imported] = modules_added()
+        assert not heavy & imported
 
     @pytest.mark.parametrize("argv", [
         ["count", "--forest", "3,1", "--parts", "2,3"],
@@ -69,10 +86,15 @@ class TestStartupImports:
         ["verify", "isolated-identity", "--forest", "3,1", "--n", "4..6"],
     ], ids=lambda argv: " ".join(argv[:2]))
     def test_commands_without_arrays_leave_numpy_unloaded(self, argv):
-        assert not numpy_loaded_after(argv)
+        loaded = set().union(*modules_added(argv))
+        assert "numpy" not in loaded
+        # only the odd and even identities compare ratios as fractions
+        if argv[1] not in ("odd-identity", "even-identity"):
+            assert "fractions" not in loaded
 
     def test_conjecture_loads_numpy(self):
-        assert numpy_loaded_after(["verify", "conjecture", "--forest", "3", "--n", "5", "--k", "2"])
+        argv = ["verify", "conjecture", "--forest", "3", "--n", "5", "--k", "2"]
+        assert "numpy" in modules_added(argv)[1]
 
 
 class TestTracedRuns:

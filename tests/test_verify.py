@@ -206,6 +206,22 @@ class TestIsolatedIdentity:
             verify_isolated_identity(LinearForest((3,)), [4])
 
 
+class TestIdentityRangeWithoutHosts:
+    """No n below 2 has a host with two nonempty parts; a range of such n
+    would check nothing, so it is refused rather than reported."""
+
+    @pytest.mark.parametrize("verify", [
+        lambda n: verify_odd_extension_identity(LinearForest((3,)), 3, n),
+        lambda n: verify_even_extension_identity(LinearForest((2,)), 2, n),
+        lambda n: verify_isolated_identity(LinearForest((2, 1)), n),
+    ], ids=["odd", "even", "isolated"])
+    def test_refused_below_two(self, verify):
+        for n_range in ([0], [1], [0, 1]):
+            with pytest.raises(ValueError, match="no n >= 2"):
+                verify(n_range)
+        assert verify([0, 1, 2]).instances_checked == 1
+
+
 class TestConjecture:
     def test_p3_n5(self):
         rep = verify_conjecture(LinearForest((3,)), 5, 2)

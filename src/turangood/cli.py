@@ -6,13 +6,16 @@ usage or parse errors, 3 on an internal error of an engine (a failed
 self-check, an overflow guard, running out of memory or of recursion
 depth), reported as "turangood: internal error: ..." on stderr with no
 traceback.  Machine formats (json, csv) are the contract;
-human output mirrors the JSON fields one per line.
+human output mirrors the JSON fields one per line, except that
+``table --format human`` prints CSV.
 
 Defaults for --format, --workers, --cap and --witnesses can be set via
 the TURANGOOD_FORMAT, TURANGOOD_WORKERS, TURANGOOD_CAP and
-TURANGOOD_WITNESSES environment variables.  --workers (TURANGOOD_WORKERS)
-is validated and otherwise has no effect: the exhaustive scan runs on
-one thread.
+TURANGOOD_WITNESSES environment variables.  FORMAT applies to every
+command; WORKERS, CAP and WITNESSES apply to ``verify`` only and are
+ignored by the others.  An invalid value exits 2 in the commands it
+applies to.  --workers (TURANGOOD_WORKERS) is validated and otherwise
+has no effect: the exhaustive scan runs on one thread.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import io
 import json
 import os
 import sys
+from collections.abc import Iterator
 
 from .forest import LinearForest, aut_order, copies_from_injective_homs
 from .multipartite import PartSizes, count_copies_turan, count_injective_homs, turan_parts
@@ -36,35 +40,8 @@ CLAIMS = ("multipartite-max", "balance", "odd-identity", "even-identity",
 FORMATS = ("human", "json", "csv")
 
 
-class RunConfig:
-    """One command line, parsed and validated."""
-
-    def __init__(self, subcommand: str, fmt: str,
-                 forest: LinearForest | None = None,
-                 parts: PartSizes | None = None,
-                 claim: str | None = None,
-                 n_range: tuple[int, int] | None = None,
-                 k_range: tuple[int, int] | None = None,
-                 cap: int = EXHAUSTIVE_CAP_DEFAULT,
-                 workers: int | None = None,
-                 witness_cap: int = WITNESS_CAP_DEFAULT) -> None:
-        self.subcommand = subcommand
-        self.fmt = fmt
-        self.forest = forest
-        self.parts = parts
-        self.claim = claim
-        self.n_range = n_range
-        self.k_range = k_range
-        self.cap = cap
-        self.workers = workers
-        self.witness_cap = witness_cap
-
-
 def _env_default(name: str, fallback):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    return raw
+    return os.environ.get(ENV_PREFIX + name, fallback)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -107,9 +84,9 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def cmd_count(cfg: RunConfig) -> int:
-    forest = cfg.forest
-    parts = cfg.parts
+def cmd_count(args: argparse.Namespace) -> int:
+    forest = args.forest
+    parts = args.parts
     inj = count_injective_homs(forest, parts)
     aut = aut_order(forest)
     payload = {
@@ -119,9 +96,9 @@ def cmd_count(cfg: RunConfig) -> int:
         "aut": aut,
         "copies": copies_from_injective_homs(inj, aut),
     }
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit(_json_dumps(payload))
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         _emit(_csv_text(
             ["forest", "parts", "injective_homs", "aut", "copies"],
             [[payload["forest"], ",".join(map(str, payload["parts"])),
@@ -137,65 +114,52 @@ def cmd_count(cfg: RunConfig) -> int:
     return 0
 
 
-def _sweep_reports(cfg: RunConfig) -> list[verify_mod.VerificationReport]:
-    forest = cfg.forest
-    reports: list[verify_mod.VerificationReport] = []
-    claim = cfg.claim
+def _grid(args: argparse.Namespace) -> Iterator[tuple[int, int]]:
+    """The (n, k) pairs of --n x --k, k outer."""
+    if args.n is None or args.k is None:
+        raise ValueError(f"{args.claim} needs --n and --k")
+    for k in range(args.k[0], args.k[1] + 1):
+        for n in range(args.n[0], args.n[1] + 1):
+            yield n, k
 
+
+def _sweep_reports(args: argparse.Namespace) -> list[verify_mod.VerificationReport]:
+    forest = args.forest
+    claim = args.claim
     if claim == "multipartite-max":
-        if cfg.n_range is None or cfg.k_range is None:
-            raise ValueError("multipartite-max needs --n and --k")
-        for k in range(cfg.k_range[0], cfg.k_range[1] + 1):
-            for n in range(cfg.n_range[0], cfg.n_range[1] + 1):
-                reports.append(verify_mod.verify_multipartite_max(forest, n, k))
-    elif claim == "balance":
-        if cfg.parts is None:
+        return [verify_mod.verify_multipartite_max(forest, n, k) for n, k in _grid(args)]
+    if claim == "conjecture":
+        return [verify_mod.verify_conjecture(forest, n, k, cap=args.cap,
+                                             witness_cap=args.witnesses, workers=args.workers)
+                for n, k in _grid(args)]
+    if claim == "balance":
+        if args.parts is None:
             raise ValueError("balance needs --parts")
-        reports.append(verify_mod.verify_balancing_monotone(forest, cfg.parts))
-    elif claim == "odd-identity":
-        lo, hi = cfg.n_range or _default_window(forest)
-        orders = sorted(set(c for c in forest.components if c % 2 == 1 and c >= 3))
-        if not orders:
-            raise ValueError(f"forest {forest} has no odd component of order >= 3")
-        for order in orders:
-            reports.append(verify_mod.verify_odd_extension_identity(
-                forest, order, range(lo, hi + 1)))
+        return [verify_mod.verify_balancing_monotone(forest, args.parts)]
+    v = forest.total_vertices
+    lo, hi = args.n or (v, v + 4)  # default window [|V(H)|, |V(H)| + 4]
+    n_range = range(lo, hi + 1)
+    if claim == "isolated-identity":
+        return [verify_mod.verify_isolated_identity(forest, n_range)]
+    if claim == "odd-identity":
+        orders = [c for c in forest.components if c % 2 == 1 and c >= 3]
+        verifier, wanted = verify_mod.verify_odd_extension_identity, "odd component of order >= 3"
     elif claim == "even-identity":
-        lo, hi = cfg.n_range or _default_window(forest)
-        orders = sorted(set(c for c in forest.components if c % 2 == 0))
-        if not orders:
-            raise ValueError(f"forest {forest} has no even component")
-        for order in orders:
-            reports.append(verify_mod.verify_even_extension_identity(
-                forest, order, range(lo, hi + 1)))
-    elif claim == "isolated-identity":
-        lo, hi = cfg.n_range or _default_window(forest)
-        reports.append(verify_mod.verify_isolated_identity(
-            forest, range(lo, hi + 1)))
-    elif claim == "conjecture":
-        if cfg.n_range is None or cfg.k_range is None:
-            raise ValueError("conjecture needs --n and --k")
-        for k in range(cfg.k_range[0], cfg.k_range[1] + 1):
-            for n in range(cfg.n_range[0], cfg.n_range[1] + 1):
-                reports.append(verify_mod.verify_conjecture(
-                    forest, n, k, cap=cfg.cap,
-                    witness_cap=cfg.witness_cap, workers=cfg.workers))
+        orders = [c for c in forest.components if c % 2 == 0]
+        verifier, wanted = verify_mod.verify_even_extension_identity, "even component"
     else:
         raise ValueError(f"unknown claim {claim!r}")
-    return reports
+    if not orders:
+        raise ValueError(f"forest {forest} has no {wanted}")
+    return [verifier(forest, order, n_range) for order in sorted(set(orders))]
 
 
-def _default_window(forest: LinearForest) -> tuple[int, int]:
-    v = forest.total_vertices
-    return v, v + 4
-
-
-def cmd_verify(cfg: RunConfig) -> int:
-    reports = _sweep_reports(cfg)
+def cmd_verify(args: argparse.Namespace) -> int:
+    reports = _sweep_reports(args)
     dicts = [r.to_json_dict() for r in reports]
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit(_json_dumps(dicts))
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         rows = [[d["claim"], json.dumps(d["params"], sort_keys=True), d["verdict"],
                  d["instances_checked"],
                  json.dumps(d.get("counterexample"), sort_keys=True)
@@ -222,13 +186,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if all(r.holds for r in reports) else 1
 
 
-def cmd_table(cfg: RunConfig) -> int:
-    forest = cfg.forest
-    rows = []
-    for k in range(cfg.k_range[0], cfg.k_range[1] + 1):
-        for n in range(cfg.n_range[0], cfg.n_range[1] + 1):
-            rows.append([n, k, str(forest), count_copies_turan(forest, n, k)])
-    if cfg.fmt == "json":
+def cmd_table(args: argparse.Namespace) -> int:
+    forest = args.forest
+    rows = [[n, k, str(forest), count_copies_turan(forest, n, k)] for n, k in _grid(args)]
+    if args.format == "json":
         _emit(_json_dumps([
             {"n": n, "k": k, "forest": f, "count": c} for n, k, f, c in rows]))
     else:
@@ -263,13 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", help="n value or inclusive range a..b")
     p_verify.add_argument("--k", help="k value or inclusive range a..b")
     p_verify.add_argument("--cap", type=int,
-                          default=int(_env_default("CAP", EXHAUSTIVE_CAP_DEFAULT)),
+                          default=_env_default("CAP", EXHAUSTIVE_CAP_DEFAULT),
                           help="exhaustive search cap on n (hard limit 8)")
     p_verify.add_argument("--workers", type=int,
                           default=_env_default("WORKERS", None),
                           help="accepted for compatibility; has no effect")
     p_verify.add_argument("--witnesses", type=int,
-                          default=int(_env_default("WITNESSES", WITNESS_CAP_DEFAULT)),
+                          default=_env_default("WITNESSES", WITNESS_CAP_DEFAULT),
                           help="maximum witnesses kept per counterexample")
 
     p_table = sub.add_parser("table", help="Turan-graph counts over an n range")
@@ -279,38 +240,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand, fmt=args.format)
-    cfg.forest = LinearForest.parse(args.forest)
+def _parse_values(args: argparse.Namespace) -> None:
+    """Replace each option's text on the namespace with its parsed value.
+    The order fixes which error is reported first."""
+    if args.format not in FORMATS:  # argparse checks choices on argv only
+        raise ValueError(f"{ENV_PREFIX}FORMAT must be one of {', '.join(FORMATS)}, "
+                         f"got {args.format!r}")
+    args.forest = LinearForest.parse(args.forest)
     if args.subcommand == "count":
-        cfg.parts = (_parse_turan(args.turan) if args.turan is not None
-                     else PartSizes.parse(args.parts))
-        return cfg
-    if args.subcommand == "table":
-        cfg.n_range = _parse_range(args.n)
-        cfg.k_range = _parse_range(args.k)
-        for k in range(cfg.k_range[0], cfg.k_range[1] + 1):
-            if k < 1:
-                raise ValueError(f"k must be >= 1, got {k}")
-        return cfg
-    # verify
-    cfg.claim = args.claim
-    if args.parts is not None:
-        cfg.parts = PartSizes.parse(args.parts)
+        args.parts = (_parse_turan(args.turan) if args.turan is not None
+                      else PartSizes.parse(args.parts))
+        return
+    verify = args.subcommand == "verify"
+    if verify and args.parts is not None:
+        args.parts = PartSizes.parse(args.parts)
     if args.n is not None:
-        cfg.n_range = _parse_range(args.n)
+        args.n = _parse_range(args.n)
     if args.k is not None:
-        cfg.k_range = _parse_range(args.k)
-        for k in range(cfg.k_range[0], cfg.k_range[1] + 1):
-            if k < 1:
-                raise ValueError(f"k must be >= 1, got {k}")
-    cfg.cap = args.cap
-    if args.workers is not None:
-        cfg.workers = int(args.workers)
-        if cfg.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {cfg.workers}")
-    cfg.witness_cap = args.witnesses
-    return cfg
+        args.k = _parse_range(args.k)
+        if args.k[0] < 1:
+            raise ValueError(f"k must be >= 1, got {args.k[0]}")
+    if verify and args.workers is not None and args.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {args.workers}")
 
 
 @contextlib.contextmanager
@@ -340,13 +291,13 @@ def run(argv: list[str] | None = None) -> int:
         print(f"turangood: error: {exc}", file=sys.stderr)
         return 2
     try:
-        cfg = _config_from_args(args)
+        _parse_values(args)
         with _full_decimal():
-            if cfg.subcommand == "count":
-                return cmd_count(cfg)
-            if cfg.subcommand == "verify":
-                return cmd_verify(cfg)
-            return cmd_table(cfg)
+            if args.subcommand == "count":
+                return cmd_count(args)
+            if args.subcommand == "verify":
+                return cmd_verify(args)
+            return cmd_table(args)
     except ValueError as exc:
         print(f"turangood: error: {exc}", file=sys.stderr)
         return 2

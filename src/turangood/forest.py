@@ -101,18 +101,6 @@ class LinearForest(Record):
         """Number of components with the given order."""
         return sum(1 for c in self.components if c == order)
 
-    def path_edges(self) -> list[tuple[int, int]]:
-        """Edge list of an explicit drawing on vertices 0..total_vertices-1.
-
-        Components occupy consecutive vertex blocks in canonical order.
-        """
-        edges = []
-        offset = 0
-        for c in self.components:
-            edges.extend((offset + t, offset + t + 1) for t in range(c - 1))
-            offset += c
-        return edges
-
 
 def aut_order(forest: LinearForest) -> int:
     """Order of the automorphism group of the forest.

@@ -361,29 +361,16 @@ def _core_counts(n: int, core: tuple[int, ...]) -> np.ndarray:
 def _inj_counts_all_graphs(n: int, comps: tuple[int, ...]) -> np.ndarray:
     """Injective homomorphism counts of the forest for every edge mask.
 
-    Isolated vertices demand no edge: each multiplies every count by the
-    number of vertices still free, so the transform runs on the edge core
-    (the components of order >= 2) alone.  The search passes the core
-    itself; the scaled copy is built only for other callers.  One
-    entry is kept, so at most one count array outlives a search.
+    The search passes the edge core; isolated components, if any, are
+    placed like the others and demand no edge.  One entry is kept, so at
+    most one count array outlives a search.
     """
-    import numpy as np
-
     # every entry is bounded by the total placement count n!/(n-m)!,
     # so the uint16 array cannot wrap; refuse if that ever changes
     bound = perm(n, min(sum(comps), n))
     if bound > _COUNT_MAX:
         raise OverflowError(f"placement count bound {bound} exceeds uint16")
-
-    core = tuple(c for c in comps if c >= 2)
-    counts = _core_counts(n, core)
-    isolated = len(comps) - len(core)
-    if not isolated:
-        return counts
-    # perm(free, i) is 0 when fewer than i vertices are left free
-    scaled = counts * np.uint16(perm(max(n - sum(core), 0), isolated))
-    scaled.setflags(write=False)
-    return scaled
+    return _core_counts(n, comps)
 
 
 def _scan_shard(counts: np.ndarray, ok: np.ndarray, lo: int, hi: int,

@@ -14,7 +14,7 @@ is an output of the run, never an input).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from .forest import (
     LinearForest,
@@ -224,22 +224,37 @@ def verify_balancing_monotone(forest: LinearForest, parts: PartsLike) -> Verific
                               instances_checked=checked)
 
 
-def _ratio_report(claim: str, params: dict, samples: list, checked: int) -> VerificationReport:
-    """Common tail of the extension-identity verifiers: all sampled
-    ratios must agree on one constant."""
-    ratios = sorted(set(r for _, r in samples))
+def _ratio_identity(claim: str, forest: LinearForest, order: int,
+                    n_range: Iterable[int],
+                    rebuilt: Callable[[int, int, int], int]) -> VerificationReport:
+    """Common body of the extension-identity verifiers: over every
+    complete bipartite host K_{a,b} with a + b = n in the range, the
+    ratio of rebuilt(n, a, b) to the forest's copy count, taken where
+    that count is nonzero, must be one constant."""
+    from fractions import Fraction  # here, not at start-up: it imports decimal
+
+    values = _n_values(n_range)
+    params = {"forest": str(forest), "order": order, "n_range": values}
+    hosts: dict = {}  # each ratio seen -> the first host that gave it
+    checked = 0
+    for n in values:
+        for a, b in _bipartitions(n):
+            checked += 1
+            denom = count_copies(forest, (a, b))
+            if denom == 0:
+                continue
+            numer = rebuilt(n, a, b)
+            hosts.setdefault(Fraction(numer, denom), {
+                "n": n, "parts": [a, b], "numerator": numer, "denominator": denom})
+    ratios = sorted(hosts)
     if len(ratios) <= 1:
-        ratio = str(ratios[0]) if ratios else None
-        return VerificationReport(claim, params, HOLDS,
-                                  instances_checked=checked, ratio=ratio)
-    first = next(s for s in samples if s[1] == ratios[0])
-    other = next(s for s in samples if s[1] == ratios[-1])
+        return VerificationReport(claim, params, HOLDS, instances_checked=checked,
+                                  ratio=str(ratios[0]) if ratios else None)
+    lo, hi = ratios[0], ratios[-1]
     return VerificationReport(
         claim, params, COUNTEREXAMPLE,
-        counterexample={
-            "host_a": first[0], "ratio_a": str(first[1]),
-            "host_b": other[0], "ratio_b": str(other[1]),
-        },
+        counterexample={"host_a": hosts[lo], "ratio_a": str(lo),
+                        "host_b": hosts[hi], "ratio_b": str(hi)},
         instances_checked=checked,
     )
 
@@ -251,25 +266,11 @@ def verify_odd_extension_identity(forest: LinearForest, order: int,
     number of even components of the shrunken order.  The ratio of the
     two sides must be one constant over all complete bipartite hosts
     and all n in the range."""
-    from fractions import Fraction  # here, not at start-up: it imports decimal
-
     shrunk = delete_odd_endpoint(forest, order)
     x = shrunk.multiplicity(order - 1)
-    values = _n_values(n_range)
-    params = {"forest": str(forest), "order": order, "n_range": values}
-    samples = []
-    checked = 0
-    for n in values:
-        for a, b in _bipartitions(n):
-            checked += 1
-            denom = count_copies(forest, (a, b))
-            if denom == 0:
-                continue
-            numer = count_copies(shrunk, (a, b)) * x * (n - shrunk.total_vertices)
-            samples.append(({"n": n, "parts": [a, b],
-                             "numerator": numer, "denominator": denom},
-                            Fraction(numer, denom)))
-    return _ratio_report("odd-identity", params, samples, checked)
+    return _ratio_identity(
+        "odd-identity", forest, order, n_range,
+        lambda n, a, b: count_copies(shrunk, (a, b)) * x * (n - shrunk.total_vertices))
 
 
 def verify_even_extension_identity(forest: LinearForest, order: int,
@@ -280,30 +281,11 @@ def verify_even_extension_identity(forest: LinearForest, order: int,
     K_{a,b} leaves K_{a-1,b-1}, a component of the shrunken order can be
     extended at two ends, and when the component vanishes (order 2) the
     edge itself becomes the new component with a single orientation."""
-    from fractions import Fraction  # here, not at start-up: it imports decimal
-
     shrunk = delete_even_end_pair(forest, order)
-    if order >= 4:
-        y = shrunk.multiplicity(order - 2)
-        factor = 2
-    else:
-        y = 1
-        factor = 1
-    values = _n_values(n_range)
-    params = {"forest": str(forest), "order": order, "n_range": values}
-    samples = []
-    checked = 0
-    for n in values:
-        for a, b in _bipartitions(n):
-            checked += 1
-            denom = count_copies(forest, (a, b))
-            if denom == 0:
-                continue
-            rebuilt = a * b * factor * y * count_copies(shrunk, (a - 1, b - 1))
-            samples.append(({"n": n, "parts": [a, b],
-                             "numerator": rebuilt, "denominator": denom},
-                            Fraction(rebuilt, denom)))
-    return _ratio_report("even-identity", params, samples, checked)
+    ways = 2 * shrunk.multiplicity(order - 2) if order >= 4 else 1
+    return _ratio_identity(
+        "even-identity", forest, order, n_range,
+        lambda n, a, b: a * b * ways * count_copies(shrunk, (a - 1, b - 1)))
 
 
 def verify_isolated_identity(forest: LinearForest,

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -285,6 +286,98 @@ class TestDeterminism:
             assert code == 0
             outputs.append(out)
         assert len(set(outputs)) == 1
+
+
+
+class TestInvalidEnvironment:
+    """argparse checks choices against argv only and converts a default
+    only for the subcommand that has the option."""
+
+    _COUNT = ("count", "--forest", "3", "--parts", "2,3")
+    _TABLE = ("table", "--forest", "3", "--n", "5", "--k", "2")
+    _VERIFY = ("verify", "conjecture", "--forest", "2", "--n", "4", "--k", "2")
+
+    @pytest.mark.parametrize("argv", [_COUNT, _TABLE, _VERIFY])
+    def test_bad_format_exits_2(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("TURANGOOD_FORMAT", "xml")
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == ("turangood: error: TURANGOOD_FORMAT must be one of "
+                       "human, json, csv, got 'xml'\n")
+
+    @pytest.mark.parametrize("name", ["CAP", "WITNESSES", "WORKERS"])
+    def test_verify_values_do_not_reach_other_commands(self, capsys, monkeypatch, name):
+        monkeypatch.setenv("TURANGOOD_" + name, "x")
+        for argv in (self._COUNT, self._TABLE):
+            code, out, err = invoke(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert out
+        code, out, err = invoke(capsys, *self._VERIFY)
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+        assert err.endswith(f"error: argument --{name.lower()}: invalid int value: 'x'\n")
+
+
+# stdout sha256 of each command form in each format, taken before the
+# argv-to-verifier plumbing was rewritten; every form exits 0
+_PINNED = {
+    "count --forest 3,1 --parts 2,3": (
+        "ee83406ace8b1d5c8bf6ee288f13a1c6904dccbd0dd9213f4860470444d111af",
+        "4de2267748f0546dafc7108f805bd088ff72c16fc78e2b4b57ececc5be52dd9d",
+        "46839050e607f6ea0dbb4a64489ca7c4b8ea403bee785a0658e761f643ac3ca7"),
+    "count --forest 3,1 --turan 7/3": (
+        "2dfe4792fb9b09832b17f188fca64d8d69d901f1f6705ee91e16e62ce2c50e6b",
+        "73df8d66c2873076e12d823f99eee34096003fa395b1abf08e3bbca509efa077",
+        "b46462629f179feeb555b431c30c824609ac66b9fdb98fb850d28d46346e5f58"),
+    # human prints CSV
+    "table --forest 3 --n 4..6 --k 2..3": (
+        "c404e4514102101cdb229c28649caf087241c42b98e2e157e2ec879d143aa70a",
+        "bae4df14caf82699c3459b74bb77d23634350acc6c2e58e66692396951bf6648",
+        "c404e4514102101cdb229c28649caf087241c42b98e2e157e2ec879d143aa70a"),
+    "verify multipartite-max --forest 3 --n 5..6 --k 2..3": (
+        "12c3d6b62ace4b484b5ddb2bd7dfbf27c4c75e2916521cf037d7bbe3add55943",
+        "e7081035412bc4587096d2c43493cadb45859f33c1d9ccbf8761e757a1828bfb",
+        "da5dcdbb97dfac23e6ba438f964a16a5a407cd288e735e473df3ab17dae84cc9"),
+    "verify balance --forest 3,1 --parts 1,5,2": (
+        "ac5cccd10a675899bb8220ed627d160f6342aefca93512053dfa560a57306e01",
+        "9fa0365c66f7dba458cfcacccc3ba9746caa6f72b2eb42d0708c016219295b84",
+        "6571de3753477c5d25e5f1631c054d9ce068b25e8363cf838e3250add4e58561"),
+    "verify odd-identity --forest 5,3,1 --n 6..9": (
+        "f61ea341d6addf208fb2adb59d9a8e6097399fe90db085bba064d2748051e572",
+        "bd37c344cb4acea745b2acd588f528226cc917e1913ef3052aa730ac1797a79c",
+        "dcc2c5bab37188776287dc9445aff1b7fc2b076e3ab57e78cc1f9178673ab265"),
+    "verify even-identity --forest 4,2": (
+        "7ec15fc90a2a4bd474b3376ca0dce23c3335ebea4f3657d6936a016349206409",
+        "4f331b95c240db92c66bb01fa3ae58a685773f7e0eefee0bb20381c23f0860e9",
+        "ed70a892a5c36da7dffc65103dcaf06d7bd7e675ce4a061c662e3fda36c48c79"),
+    "verify isolated-identity --forest 3,1,1 --n 5..8": (
+        "6657955a65eebb9476010be5646bf974cc6e08f7f9cb9e274a18d540a154c254",
+        "fc5e88a9dbb260fdd0313d9f161acf808c6f2410451d6312df865f3cd563d8e8",
+        "7f59b4bfd24726f87b33ba18589e2722a3fcde80e20d8e909840637a466519c8"),
+    "verify conjecture --forest 3 --n 5 --k 2..3": (
+        "436ac62837e69599eea72549365847eefdc8a93c870b24ebe336f8b901251504",
+        "9bbd8c8c3a5365ce792015572c976ec62c7dc60d9d1472dd476642560c837cc3",
+        "eed978d70a073968eeba571d49bd2fad819f6384b01ffd553f67314098252f10"),
+}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("argv", sorted(_PINNED))
+    def test_stdout(self, capsys, argv, fmt):
+        code, out, err = invoke(capsys, *argv.split(), "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == _PINNED[argv][FORMATS.index(fmt)]
+
+    @pytest.mark.parametrize("argv,message", [
+        ("count --forest 3,x --parts 2,3", "invalid forest spec '3,x'"),
+        ("table --forest 3 --n 4 --k 0..2", "k must be >= 1, got 0"),
+        ("verify multipartite-max --forest 3 --n 4 --k 0", "k must be >= 1, got 0"),
+        ("verify conjecture --forest 3 --k 2", "conjecture needs --n and --k"),
+        ("verify odd-identity --forest 2", "forest 2 has no odd component of order >= 3"),
+    ])
+    def test_usage_error_stderr(self, capsys, argv, message):
+        assert invoke(capsys, *argv.split()) == (2, "", f"turangood: error: {message}\n")
 
 
 

@@ -38,6 +38,8 @@ ENV_PREFIX = "TURANGOOD_"
 CLAIMS = ("multipartite-max", "balance", "odd-identity", "even-identity",
           "isolated-identity", "conjecture")
 FORMATS = ("human", "json", "csv")
+K_CLAIMS = ("multipartite-max", "conjecture")
+"""The verify claims that read --k, as ``table`` does; the others ignore it."""
 
 
 def _env_default(name: str, fallback):
@@ -258,7 +260,7 @@ def _parse_values(args: argparse.Namespace) -> None:
         args.n = _parse_range(args.n)
     if args.k is not None:
         args.k = _parse_range(args.k)
-        if args.k[0] < 1:
+        if args.k[0] < 1 and (not verify or args.claim in K_CLAIMS):
             raise ValueError(f"k must be >= 1, got {args.k[0]}")
     if verify and args.workers is not None and args.workers < 1:
         raise ValueError(f"workers must be >= 1, got {args.workers}")

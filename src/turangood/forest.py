@@ -14,7 +14,8 @@ nonempty.
 from __future__ import annotations
 
 from collections import Counter
-from math import factorial
+from functools import lru_cache
+from math import factorial, perm
 
 
 class Record:
@@ -102,12 +103,14 @@ class LinearForest(Record):
         return sum(1 for c in self.components if c == order)
 
 
+@lru_cache(maxsize=256)
 def aut_order(forest: LinearForest) -> int:
     """Order of the automorphism group of the forest.
 
     Every component of order >= 2 can be reversed independently, and
     components of equal order can be permuted among each other:
     2^(#components of order >= 2) * prod over distinct orders of mult!.
+    Cached per forest: a sweep divides every host's count by it.
     """
     out = 1 << sum(1 for c in forest.components if c >= 2)
     for mult in Counter(forest.components).values():
@@ -125,6 +128,23 @@ def copies_from_injective_homs(inj: int, aut: int) -> int:
     if rem:
         raise RuntimeError(f"automorphism count {aut} does not divide {inj}")
     return copies
+
+
+@lru_cache(maxsize=256)
+def edge_core(components: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
+    """(edge core, factor) of a forest placed into n host vertices.
+
+    The core is the components of order >= 2.  Isolated vertices demand
+    no edge: once the core is placed they take any of the n - |core|
+    vertices left, so every injective homomorphism count in any host is
+    the core's times perm(n - |core|, #isolated).  A forest with more
+    than n vertices gives ((), 0), before anything that grows with the
+    forest is built.
+    """
+    if sum(components) > n:
+        return (), 0
+    core = tuple(c for c in components if c >= 2)
+    return core, perm(n - sum(core), len(components) - len(core))
 
 
 def back_edge_flags(components: tuple[int, ...]) -> tuple[bool, ...]:

@@ -7,17 +7,27 @@ Placing a vertex into a part with c free vertices contributes a factor
 c, and consecutive vertices of the same path may not share a part (that
 pair must be a host edge).
 
+Isolated vertices demand no edge, so they do not enter the DP: it counts
+the forest's edge core (its components of order >= 2) and multiplies by
+perm(n - |core|, #isolated), the ways to put the isolated vertices on
+the host vertices the core leaves free (``forest.edge_core``, which also
+returns 0 at once when the forest has more than n vertices).
+
 Parts with the same number of free vertices are interchangeable, so a
 DP state is (position, the free capacities as a sorted multiset, the
 capacity of the part the next vertex may not use, or -1).  A move into
 capacity c weighs c times the number of parts with capacity c, less one
-when the forbidden part is among them.  A state's value depends only on
-the forest, not on the host it was reached from, so the memo is kept
-per forest and shared by every host counted for it: a sweep over many
-hosts fills in only the states no earlier host reached.  The memo holds
-the two most recently used forests.  Evaluation is iterative (a forward
-pass collects the new states layer by layer, a backward pass fills them
-in), so forests of any length count without recursion.
+when the forbidden part is among them.  The last two vertices have a
+closed form in the free capacities (see ``count_injective_homs``), so
+the deepest position holds no states and the one before it computes no
+moves.  A state's value depends only on the core, not on the host it
+was reached from, so the memo is kept per core and shared by every host
+counted for it and by every forest with that core (F and F - P1 share
+one): a sweep over many hosts fills in only the states no earlier host
+reached.  The memo holds the two most recently used cores, each with
+its back-edge flags.  Evaluation is iterative (a forward pass collects
+the new states layer by layer, a backward pass fills them in), so
+forests of any length count without recursion.
 
 Copy counts divide out the forest's automorphisms; the division is
 always exact.  All arithmetic uses Python's unbounded integers, so
@@ -29,7 +39,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from collections.abc import Iterable
 
-from .forest import LinearForest, Record, aut_order, back_edge_flags, copies_from_injective_homs
+from .forest import (LinearForest, Record, aut_order, back_edge_flags,
+                     copies_from_injective_homs, edge_core)
 
 
 class PartSizes(Record):
@@ -81,9 +92,14 @@ PartsLike = PartSizes | Iterable[int]
 
 
 def canonical_sizes(parts: PartsLike) -> tuple[int, ...]:
-    """Non-increasing nonzero part sizes: the host up to isomorphism."""
+    """Non-increasing nonzero part sizes: the host up to isomorphism.
+    A tuple of ints already in that form (as ``partitions_at_most``
+    yields) is returned as it is, without building a PartSizes."""
     if isinstance(parts, PartSizes):
         return parts.canonical
+    if (type(parts) is tuple and {*map(type, parts)} <= {int}
+            and list(parts) == sorted(parts, reverse=True) and (not parts or parts[-1] > 0)):
+        return parts
     return PartSizes(tuple(parts)).canonical
 
 
@@ -100,27 +116,28 @@ def turan_parts(n: int, k: int) -> PartSizes:
     return PartSizes((q + 1,) * r + (q,) * (k - r))
 
 
-_MEMO_FORESTS = 2
-"""Forests whose DP states are kept.  The identity verifiers alternate a
+_MEMO_CORES = 2
+"""Edge cores whose DP states are kept.  The identity verifiers alternate a
 forest and its shrunk forest, so two suffice; more only cost memory."""
 
 _memos: OrderedDict = OrderedDict()
-"""Forest components -> one dict per position, (caps, forbidden) -> count
-of ways to place the rest.  No lock guards it: the package runs the DP
-on one thread only."""
+"""Edge core -> (its back-edge flags, one dict per position but the last:
+(caps, forbidden) -> count of ways to place the rest).  No lock guards
+it: the package runs the DP on one thread only."""
 
 
-def _forest_memo(comps: tuple[int, ...], total: int) -> list[dict]:
-    """The forest's memo, one dict per position; evicts the least
-    recently used forest beyond _MEMO_FORESTS."""
-    memo = _memos.get(comps)
-    if memo is None:
-        memo = _memos[comps] = [{} for _ in range(total)]
-        if len(_memos) > _MEMO_FORESTS:
+def _core_memo(core: tuple[int, ...]) -> tuple[tuple[bool, ...], list[dict]]:
+    """The core's flags and memo; evicts the least recently used core
+    beyond _MEMO_CORES."""
+    entry = _memos.get(core)
+    if entry is None:
+        flags = back_edge_flags(core)
+        entry = _memos[core] = (flags, [{} for _ in range(len(flags) - 1)])
+        if len(_memos) > _MEMO_CORES:
             _memos.popitem(last=False)
     else:
-        _memos.move_to_end(comps)
-    return memo
+        _memos.move_to_end(core)
+    return entry
 
 
 def _moves(caps: tuple[int, ...], forbidden: int, bind: bool) -> list:
@@ -150,45 +167,51 @@ def count_injective_homs(forest: LinearForest, parts: PartsLike) -> int:
     """Number of injective maps of the forest into the host that carry
     every forest edge to a host edge (endpoints in distinct parts)."""
     sizes = canonical_sizes(parts)
-    flags = back_edge_flags(forest.components)
-    total = len(flags)
-    if total > sum(sizes):
-        return 0
-    if total == 0:
-        return 1
-    memo = _forest_memo(forest.components, total)
+    core, factor = edge_core(forest.components, sum(sizes))
+    if not core:
+        return factor
+    flags, memo = _core_memo(core)
     root = (sizes, -1)
     if root in memo[0]:
-        return memo[0][root]
+        return factor * memo[0][root]
     # forward: layer by layer, the states reachable from this host that
-    # are not in the memo yet, each with its moves; memo hits end a branch
+    # are not in the memo yet, each with its moves; memo hits end a branch.
+    # The states of the last memo layer need no moves (see below).
+    last = len(memo) - 1
     layers: list[dict] = []
     todo = {root: None}
-    for pos in range(total):
+    for pos in range(last):
         if not todo:
             break
         layers.append(todo)
-        known = memo[pos + 1] if pos + 1 < total else None
-        bind = known is not None and flags[pos + 1]
+        known = memo[pos + 1]
+        bind = flags[pos + 1]
         nxt: dict = {}
         for state in todo:
             moves = todo[state] = _moves(*state, bind)
-            if known is not None:
-                for _, succ in moves:
-                    if succ not in known:
-                        nxt[succ] = None
+            for _, succ in moves:
+                if succ not in known:
+                    nxt[succ] = None
         todo = nxt
-    # backward: fill those states in, deepest layer first; a move off the
-    # last position completes a placement and counts once
+    # the last two vertices in closed form.  With s free host vertices and
+    # f of them in the forbidden part (0 when there is none), the first
+    # goes to one of s - f; the last then has s - 1 choices, or, when it
+    # must be adjacent, the s - c outside the part of size c the first
+    # took.  Summed over parts: s(s - f) - (sum of c^2 - f^2).
+    here = memo[last]
+    bind = flags[last + 1]
+    for caps, forbidden in todo:
+        s = sum(caps)
+        f = forbidden if forbidden > 0 else 0
+        here[caps, forbidden] = (s * (s - f) - sum(c * c for c in caps) + f * f if bind
+                                 else (s - 1) * (s - f))
+    # backward: fill the other new states in, deepest layer first
     for pos in range(len(layers) - 1, -1, -1):
-        below = memo[pos + 1] if pos + 1 < total else None
+        below = memo[pos + 1]
         here = memo[pos]
         for state, moves in layers[pos].items():
-            if below is None:
-                here[state] = sum(w for w, _ in moves)
-            else:
-                here[state] = sum(w * below[succ] for w, succ in moves)
-    return memo[0][root]
+            here[state] = sum(w * below[succ] for w, succ in moves)
+    return factor * memo[0][root]
 
 
 def count_copies(forest: LinearForest, parts: PartsLike) -> int:

@@ -50,7 +50,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import perm
 
-from .forest import LinearForest, Record, aut_order, back_edge_flags, copies_from_injective_homs
+from .forest import (LinearForest, Record, aut_order, back_edge_flags,
+                     copies_from_injective_homs, edge_core)
 from .multipartite import PartsLike, canonical_sizes, turan_parts
 
 TYPE_CHECKING = False  # type checkers read it as True; spares importing typing
@@ -459,11 +460,9 @@ def extremal_search(forest: LinearForest, n: int, k: int, *,
     # isolated vertices scale every count by one positive factor, which
     # keeps the order and the ties.  A forest with more than n vertices
     # has no placement: every count is 0 and every selected mask ties,
-    # as under the empty core, whose counts are all 1.
-    comps = forest.components
-    core = tuple(c for c in comps if c >= 2)
-    factor = perm(n - sum(core), len(comps) - len(core)) if sum(comps) <= n else 0
-    core_max, witness_masks = _core_search(n, core if factor else (), k, witness_cap)
+    # as under the empty core (factor 0), whose counts are all 1.
+    core, factor = edge_core(forest.components, n)
+    core_max, witness_masks = _core_search(n, core, k, witness_cap)
     max_inj = core_max * factor
 
     max_count = copies_from_injective_homs(max_inj, aut_order(forest))

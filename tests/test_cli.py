@@ -198,6 +198,17 @@ class TestVerify:
         reports = json.loads(out)
         assert reports[0]["counterexample"]["max_count"] == 7
 
+    @pytest.mark.parametrize("argv", [
+        "balance --forest 3 --parts 1,4", "odd-identity --forest 3",
+        "even-identity --forest 2 --n 2..3", "isolated-identity --forest 2,1 --n 2..3"])
+    def test_k_ignored_where_not_read(self, capsys, argv):
+        code, _, err = invoke(capsys, "verify", *argv.split(), "--k", "0")
+        assert (code, err) == (0, "")
+
+    def test_conjecture_bad_k_exits_2(self, capsys):
+        assert invoke(capsys, "verify", "conjecture", "--forest", "3", "--n", "4",
+                      "--k", "0") == (2, "", "turangood: error: k must be >= 1, got 0\n")
+
     def test_cap_hard_limit(self, capsys):
         code, _, err = invoke(capsys, "verify", "conjecture", "--forest", "2",
                               "--n", "9", "--k", "2", "--cap", "9")

@@ -14,7 +14,7 @@ from turangood import (
     delete_isolated,
     delete_odd_endpoint,
 )
-from turangood.forest import back_edge_flags, copies_from_injective_homs
+from turangood.forest import back_edge_flags, copies_from_injective_homs, edge_core
 
 
 class TestCanonicalForm:
@@ -118,6 +118,25 @@ class TestBackEdgeFlags:
 
     def test_empty_forest(self):
         assert back_edge_flags(()) == ()
+
+
+class TestEdgeCore:
+    def test_isolated_vertices_become_one_factor(self):
+        # P3 takes 3 of 5 vertices; the two isolated ones fill 2 of the
+        # other 2 in order: 2! ways
+        assert edge_core((3, 1, 1), 5) == ((3,), 2)
+        assert edge_core((4, 2, 1), 10) == ((4, 2), 4)
+
+    def test_no_isolated_vertices(self):
+        assert edge_core((3, 2), 5) == ((3, 2), 1)
+
+    def test_isolated_only(self):
+        assert edge_core((1, 1), 3) == ((), 6)
+        assert edge_core((), 0) == ((), 1)
+
+    def test_forest_larger_than_host(self):
+        assert edge_core((2, 1), 2) == ((), 0)
+        assert edge_core((10 ** 7,), 1) == ((), 0)
 
 
 class TestDeleteOddEndpoint:

@@ -1,11 +1,11 @@
 import json
 import random
 from collections import OrderedDict
-from math import factorial
+from math import factorial, perm
 
 import pytest
 from conftest import all_forests, brute_copies_multipartite, brute_inj_homs_multipartite
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from turangood import multipartite
@@ -18,6 +18,7 @@ from turangood import (
     turan_parts,
 )
 from turangood.cli import run
+from turangood.multipartite import canonical_sizes
 from turangood.verify import partitions_at_most
 
 
@@ -63,6 +64,21 @@ class TestTuranParts:
                 assert sum(p.sizes) == n
                 assert len(p.sizes) == k
                 assert max(p.sizes) - min(p.sizes) <= 1
+
+
+class TestCanonicalSizes:
+    @pytest.mark.parametrize("parts, canonical", [
+        ((), ()), ((3, 2), (3, 2)), ((1, 1, 1), (1, 1, 1)), ((3, 0), (3,)), ((2, 3), (3, 2)),
+        ([3, 2], (3, 2)), ((3.0, 2), (3, 2)), ((True, 1), (1, 1)), (PartSizes((0, 2, 5)), (5, 2)),
+    ])
+    def test_canonical_form(self, parts, canonical):
+        got = canonical_sizes(parts)
+        assert got == canonical
+        assert all(type(s) is int for s in got)
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            canonical_sizes((3, -1))
 
 
 class TestCountInjectiveHoms:
@@ -202,3 +218,59 @@ class TestCountingCore:
         # three forests in turn overflow the two-forest memo on every host
         assert counts(shuffled, others) == alone
         assert target.components not in multipartite._memos
+
+
+class TestEdgeCore:
+    @settings(max_examples=60, deadline=None)
+    @given(comps=st.lists(st.integers(1, 4), max_size=2), r=st.integers(0, 3),
+           sizes=st.lists(st.integers(0, 3), max_size=3))
+    @example(comps=[2], r=1, sizes=[])        # a host with no parts
+    @example(comps=[3], r=2, sizes=[2, 2])    # more vertices than the host
+    @example(comps=[], r=3, sizes=[0, 0])     # isolated vertices only, n = 0
+    def test_isolated_vertices_are_one_factor(self, comps, r, sizes):
+        m, n = sum(comps), sum(sizes)
+        grown = LinearForest(tuple(comps) + (1,) * r)
+        got = count_injective_homs(grown, sizes)
+        assert got == brute_inj_homs_multipartite(grown.components, tuple(sizes))
+        base = count_injective_homs(LinearForest(tuple(comps)), sizes)
+        assert got == (base * perm(n - m, r) if m + r <= n else 0)
+
+    def test_forests_with_one_core_share_a_memo_entry(self, monkeypatch):
+        forests = [LinearForest((4, 2) + (1,) * r) for r in range(4)]
+        hosts = list(partitions_at_most(11, 4))
+        pairs = [(f, h) for f in forests for h in hosts]
+        cold = {}
+        for f, h in pairs:
+            monkeypatch.setattr(multipartite, "_memos", OrderedDict())
+            cold[f, h] = count_injective_homs(f, h)
+        for seed in range(3):
+            random.Random(seed).shuffle(pairs)
+            monkeypatch.setattr(multipartite, "_memos", OrderedDict())
+            assert {(f, h): count_injective_homs(f, h) for f, h in pairs} == cold
+            assert list(multipartite._memos) == [(4, 2)]
+
+    def test_isolated_identity_alternation_uses_one_entry(self, monkeypatch):
+        monkeypatch.setattr(multipartite, "_memos", OrderedDict())
+        forest = LinearForest((3, 2, 1))
+        for n in range(2, 9):
+            for a in range(1, n // 2 + 1):
+                count_copies(forest, (n - a, a))
+                count_copies(LinearForest((3, 2)), (n - a, a))
+        assert list(multipartite._memos) == [(3, 2)]
+
+    def test_path_states_grow_linearly(self, monkeypatch):
+        # a marker-free memo (caps alone) would visit every unbalanced
+        # pair of capacities: about n^2 / 4 states here
+        monkeypatch.setattr(multipartite, "_memos", OrderedDict())
+        count_injective_homs(LinearForest((1000,)), (500, 500))
+        _, memo = multipartite._memos[(1000,)]
+        assert sum(map(len, memo)) <= 2 * 1000
+
+    def test_too_large_forest_builds_nothing(self, monkeypatch, capsys):
+        def refuse(components):
+            raise AssertionError("back-edge flags built for a forest that cannot fit")
+
+        monkeypatch.setattr(multipartite, "back_edge_flags", refuse)
+        assert count_injective_homs(LinearForest((10 ** 7,)), (1,)) == 0
+        assert run(["count", "--forest", "10000000", "--parts", "1", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["copies"] == 0

@@ -22,8 +22,11 @@ running the backtracking counter 2^(n(n-1)/2) times, it counts once per
 injective placement: each placement of the forest into the complete
 graph K_n demands a fixed set of edges, and the number of placements
 whose demanded edges all lie inside G is obtained for every G at once
-by a subset-sum (zeta) transform over edge masks.  Counts are uint16:
-no entry exceeds the total placement count n!/(n-m)! <= 8! = 40320, and
+by a subset-sum (zeta) transform over edge masks.  The placements are
+enumerated as one numpy array and reduced to a histogram of demanded
+masks; the transform starts from those few seeds, so its low 8 bits run
+only on the rows of 256 masks that hold one.  Counts are uint16: no
+entry exceeds the total placement count n!/(n-m)! <= 8! = 40320, and
 an overflow guard refuses any forest and n where that bound would not
 hold.  The K_{k+1}-free selector uses the same transform: containing a
 clique is an up-set, so the clique masks are seeded and closed upward
@@ -36,9 +39,12 @@ and the ties.  So the search runs once per edge core (the components of
 order >= 2), k and witness cap, and its result (the best core count and
 the tied masks, never an array) is cached; every forest with that core
 scales the count and reuses the masks.  Only the most recent count
-array is kept, so at most one outlives a search.  The result is exact
-and is spot-checked, per forest and uncached, against the backtracking
-counter and the clique search on every witness it returns.
+array is kept, so at most one outlives a search; at n = 8, where one
+array is 256 or 512 MiB, each array cache also drops its entry before
+it builds the next, so one count array and one selector are alive at a
+time.  The result is exact and is spot-checked, per forest and
+uncached, against the backtracking counter and the clique search on
+every witness it returns.
 Only these array stages use numpy, and they import it when they first
 run, so importing the package and every command but ``verify
 conjecture`` never load it.
@@ -47,7 +53,7 @@ conjecture`` never load it.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, permutations
 from math import perm
 
 from .forest import (LinearForest, Record, aut_order, back_edge_flags,
@@ -66,6 +72,14 @@ WITNESS_CAP_DEFAULT = 10
 _SHARD_SIZE = 1 << 18
 """Edge masks per scan step; bounds the scan's temporaries."""
 _COUNT_MAX = 0xFFFF  # largest uint16, the dtype of the count arrays
+_ROW_BITS = 8
+"""Low mask bits that ``_seeded_zeta`` transforms on seeded rows only."""
+_CHUNK_ROWS = 256
+"""Seeded rows gathered per step; bounds the gathered block."""
+_HOLD_ONE_N = EXHAUSTIVE_CAP_LIMIT
+"""From this n on one array is 256 MiB or more, so each array cache
+drops what it holds before it builds the next array: one count array
+and one selector are alive at a time.  Below it the caches keep theirs."""
 
 
 @lru_cache(maxsize=None)
@@ -278,15 +292,16 @@ class ExtremalResult(Record):
         }
 
 
-def _zeta(a: np.ndarray, nbits: int, op) -> None:
-    """In-place subset transform over bit masks (Yates's method):
-    a[S] becomes op over a[T] for every T subset of S.
+def _zeta(a: np.ndarray, nbits: int, op, start: int = 0) -> None:
+    """In-place subset transform over bit masks (Yates's method), bits
+    start..nbits-1: a[S] becomes op over a[T] for every T subset of S
+    that differs from S only in those bits.
 
     Bit t pairs each entry with bit t clear to the one with it set.  For
     steps below 16 one strided 1-D slice per offset beats a 2-D view
     whose rows are that short.
     """
-    for t in range(nbits):
+    for t in range(start, nbits):
         step = 1 << t
         if step < 16:
             for j in range(step):
@@ -298,6 +313,35 @@ def _zeta(a: np.ndarray, nbits: int, op) -> None:
             op(hi, view[:, :step], out=hi)
 
 
+def _seeded_zeta(seeds: np.ndarray, values, nbits: int, dtype, op) -> np.ndarray:
+    """Subset transform of the array over all nbits-bit masks that is
+    zero except for ``values`` at ``seeds``.
+
+    A row of the 2^_ROW_BITS masks that share their high bits and hold
+    no seed is still zero after the low bits, so those bits run only on
+    the seeded rows, gathered _CHUNK_ROWS at a time; the high bits run
+    on the whole array.  Seeds must be ascending and distinct: a repeated
+    seed would be overwritten, not added, and a row gathered twice would
+    be transformed twice.
+    """
+    import numpy as np
+
+    a = np.zeros(1 << nbits, dtype=dtype)
+    a[seeds] = values
+    low = min(nbits, _ROW_BITS)
+    rows = a.reshape(-1, 1 << low)
+    # ascending seeds give ascending rows: keep the first of each run
+    seeded = seeds >> low
+    seeded = seeded[np.flatnonzero(np.diff(seeded, prepend=-1))]
+    for i in range(0, seeded.size, _CHUNK_ROWS):
+        idx = seeded[i:i + _CHUNK_ROWS]
+        block = rows[idx]
+        _zeta(block.reshape(-1), low, op)
+        rows[idx] = block
+    _zeta(a, nbits, op, low)
+    return a
+
+
 @lru_cache(maxsize=8)
 def _clique_free_selector(n: int, r: int) -> np.ndarray:
     """Boolean array over all edge masks: True iff the graph has no K_r.
@@ -307,15 +351,47 @@ def _clique_free_selector(n: int, r: int) -> np.ndarray:
     """
     import numpy as np
 
-    nbits = n * (n - 1) // 2
+    if n >= _HOLD_ONE_N:
+        _drop_selectors()
     eidx = _edge_index(n)
-    sel = np.zeros(1 << nbits, dtype=bool)
-    for group in combinations(range(n), r):
-        sel[sum(1 << eidx[p] for p in combinations(group, 2))] = True
-    _zeta(sel, nbits, np.logical_or)
+    cliques = sorted(sum(1 << eidx[p] for p in combinations(group, 2))
+                     for group in combinations(range(n), r))
+    sel = _seeded_zeta(np.array(cliques, dtype=np.int64), True, n * (n - 1) // 2,
+                       bool, np.logical_or)
     np.logical_not(sel, out=sel)
     sel.setflags(write=False)
     return sel
+
+
+# bound once: bench/spans.py rebinds the module names to timing wrappers,
+# which have no cache_clear
+_drop_selectors = _clique_free_selector.cache_clear
+
+
+def _placement_histogram(n: int, core: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct edge masks that the placements of a forest into K_n
+    demand, ascending, and how many placements demand each one.
+
+    Placements are the ordered tuples of distinct vertices, one per
+    forest vertex with the components laid down in order; a vertex
+    flagged by ``back_edge_flags`` demands the edge to the one before.
+    """
+    import numpy as np
+
+    flags = back_edge_flags(core)
+    m = len(flags)
+    placed = np.fromiter(chain.from_iterable(permutations(range(n), m)), dtype=np.int8,
+                         count=perm(n, m) * m).reshape(perm(n, m), m)
+    bit = np.zeros((n, n), dtype=np.int64)
+    for t, (i, j) in enumerate(_edge_pairs(n)):
+        bit[i, j] = bit[j, i] = 1 << t
+    demanded = np.zeros(len(placed), dtype=np.int64)
+    for pos in range(1, m):
+        if flags[pos]:
+            demanded |= bit[placed[:, pos - 1], placed[:, pos]]
+    # with return_counts np.unique sorts; without it numpy 2.4 hashes and
+    # imports numpy.ma
+    return np.unique(demanded, return_counts=True)
 
 
 def _core_counts(n: int, core: tuple[int, ...]) -> np.ndarray:
@@ -324,35 +400,10 @@ def _core_counts(n: int, core: tuple[int, ...]) -> np.ndarray:
     so entry G holds the number of placements entirely inside G."""
     import numpy as np
 
-    nbits = n * (n - 1) // 2
-    eidx = _edge_index(n)
-    flags = back_edge_flags(core)
-    total = len(flags)
-    full = (1 << n) - 1
-    masks: list[int] = []
-
-    def rec(pos: int, prev: int, used: int, emask: int) -> None:
-        if pos == total:
-            masks.append(emask)
-            return
-        need_edge = flags[pos]
-        cand = full & ~used
-        while cand:
-            vbit = cand & -cand
-            cand ^= vbit
-            v = vbit.bit_length() - 1
-            rec(pos + 1, v,
-                used | vbit,
-                emask | (1 << eidx[(prev, v)]) if need_edge else emask)
-
-    if total <= n:
-        rec(0, -1, 0, 0)
-    w = np.zeros(1 << nbits, dtype=np.uint16)
-    demanded, hits = np.unique(np.array(masks, dtype=np.int64), return_counts=True)
-    w[demanded] = hits
-    _zeta(w, nbits, np.add)
+    demanded, hits = _placement_histogram(n, core)
+    w = _seeded_zeta(demanded, hits, n * (n - 1) // 2, np.uint16, np.add)
     # the transform leaves the total placement count at the full mask
-    if int(w[-1]) != len(masks):
+    if int(w[-1]) != perm(n, sum(core)):
         raise RuntimeError("subset-sum transform integrity check failed")
     w.setflags(write=False)
     return w
@@ -364,14 +415,20 @@ def _inj_counts_all_graphs(n: int, comps: tuple[int, ...]) -> np.ndarray:
 
     The search passes the edge core; isolated components, if any, are
     placed like the others and demand no edge.  One entry is kept, so at
-    most one count array outlives a search.
+    most one count array outlives a search, and from _HOLD_ONE_N on it
+    is dropped before the next is built.
     """
     # every entry is bounded by the total placement count n!/(n-m)!,
     # so the uint16 array cannot wrap; refuse if that ever changes
     bound = perm(n, min(sum(comps), n))
     if bound > _COUNT_MAX:
         raise OverflowError(f"placement count bound {bound} exceeds uint16")
+    if n >= _HOLD_ONE_N:
+        _drop_counts()
     return _core_counts(n, comps)
+
+
+_drop_counts = _inj_counts_all_graphs.cache_clear
 
 
 def _scan_shard(counts: np.ndarray, ok: np.ndarray, lo: int, hi: int,
@@ -427,8 +484,12 @@ def _peak_bytes(n: int) -> int:
     size = 1 << (n * (n - 1) // 2)
     shard = min(size, _SHARD_SIZE)
     # uint16 core counts, bool selector inverted in place; then the scan's
-    # masked uint16 product, tie mask and tie indices of one shard
-    return 3 * size + shard * (2 + 1 + 8)
+    # masked uint16 product, tie mask and tie indices of one shard.  While
+    # an array is built: at most n! placements, each an int8 per vertex
+    # plus about 48 bytes of int64 masks, seeds and temporaries, and one
+    # gathered chunk of uint16 rows
+    build = perm(n, n) * (n + 48) + (_CHUNK_ROWS << _ROW_BITS) * 2
+    return 3 * size + shard * (2 + 1 + 8) + build
 
 
 def extremal_search(forest: LinearForest, n: int, k: int, *,

@@ -1,10 +1,12 @@
 import random
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
-from conftest import all_forests, brute_copies, brute_inj_homs, multipartite_edge_set
+from conftest import (all_forests, brute_copies, brute_inj_homs, forest_edges,
+                      multipartite_edge_set)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +26,8 @@ from turangood.oracle import (
     _edge_index,
     _edge_pairs,
     _inj_counts_all_graphs,
+    _placement_histogram,
+    _seeded_zeta,
     _zeta,
 )
 
@@ -322,6 +326,81 @@ class TestLeanEngine:
                 finally:
                     tracemalloc.stop()
                 assert peak <= oracle._peak_bytes(n), (n, comps, peak)
+
+
+    @pytest.mark.parametrize("comps", [(7,), (6,), (4, 3)])
+    def test_peak_estimate_covers_seeded_rows(self, monkeypatch, comps):
+        # the cores with the most seeded rows at n = 7, built while the
+        # selector of an earlier search is alive, as at n = 8 where each
+        # cache holds one array; small shards keep the scan's temporaries
+        # below the build's, which the estimate must then cover
+        monkeypatch.setattr(oracle, "_HOLD_ONE_N", 7)
+        monkeypatch.setattr(oracle, "_SHARD_SIZE", 1 << 12)
+        clear_engine_caches()
+        tracemalloc.start()
+        try:
+            extremal_search(LinearForest((3,)), 7, 2)
+            extremal_search(LinearForest(comps), 7, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= oracle._peak_bytes(7), (comps, peak)
+
+
+def recursive_histogram(n, comps):
+    """Demanded edge mask -> number of placements, by plain recursion
+    over injective maps; edge (u, v), u < v, is bit v(v-1)/2 + u."""
+    edges = forest_edges(comps)
+    hist = Counter()
+
+    def place(img):
+        if len(img) == sum(comps):
+            mask = 0
+            for a, b in edges:
+                u, v = sorted((img[a], img[b]))
+                mask |= 1 << (v * (v - 1) // 2 + u)
+            hist[mask] += 1
+            return
+        for v in range(n):
+            if v not in img:
+                place(img + (v,))
+
+    place(())
+    return hist
+
+
+class TestSeededEngine:
+    """The seeded transform and the numpy placement histogram, each
+    against a reference that does not share it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_seeded_zeta_matches_dense(self, data):
+        nbits = data.draw(st.integers(0, 12), label="nbits")
+        seeds = sorted(data.draw(st.sets(st.integers(0, (1 << nbits) - 1), max_size=40),
+                                 label="seeds"))
+        values = data.draw(st.lists(st.integers(0, 0xFFFF), min_size=len(seeds),
+                                    max_size=len(seeds)), label="values")
+        chunk = data.draw(st.integers(1, 300), label="chunk rows")
+        for op, dtype, vals in [(np.add, np.uint16, np.array(values, dtype=np.uint16)),
+                                (np.logical_or, bool, True)]:
+            dense = np.zeros(1 << nbits, dtype=dtype)
+            dense[seeds] = vals
+            _zeta(dense, nbits, op)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(oracle, "_CHUNK_ROWS", chunk)
+                got = _seeded_zeta(np.array(seeds, dtype=np.int64), vals, nbits, dtype, op)
+            assert got.dtype == dtype
+            assert np.array_equal(got, dense)
+
+    def test_histogram_matches_recursion(self):
+        for n in range(0, 7):
+            # the empty core, and every forest up to one vertex past n
+            for comps in [()] + all_forests(n + 1):
+                demanded, hits = _placement_histogram(n, comps)
+                want = recursive_histogram(n, comps)
+                assert demanded.tolist() == sorted(want), (n, comps)
+                assert hits.tolist() == [want[m] for m in sorted(want)], (n, comps)
 
 
 def clear_engine_caches():

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import turangood
+from turangood import LinearForest, extremal_search
 from turangood.cli import run
 
 SRC = str(Path(turangood.__file__).resolve().parents[1])
@@ -96,6 +97,13 @@ class TestStartupImports:
         argv = ["verify", "conjecture", "--forest", "3", "--n", "5", "--k", "2"]
         assert "numpy" in modules_added(argv)[1]
 
+    def test_conjecture_leaves_numpy_ma_unloaded(self):
+        # a plain np.unique imports numpy.ma on numpy 2.4
+        argv = ["verify", "conjecture", "--forest", "3,2", "--n", "6", "--k", "2..3"]
+        loaded = modules_added(argv)[1]
+        assert "numpy" in loaded
+        assert "numpy.ma" not in loaded
+
 
 class TestTracedRuns:
     """``bench/spans.py`` rebinds engine functions to plain wrappers; the
@@ -136,3 +144,32 @@ def test_one_count_array_outlives_searches():
     proc = python("-c", code)
     assert proc.returncode == 0, proc.stderr.decode()
     assert int(proc.stdout) <= 1
+
+
+def test_one_array_of_each_kind_while_holding_one():
+    # from oracle._HOLD_ONE_N on each array cache drops its entry before it
+    # builds the next; lowered to n = 7 here so the check stays small
+    specs = [((3,), 2), ((3,), 3), ((3,), 4), ((3, 1), 3), ((2, 2), 2), ((2, 2), 4)]
+    code = ("import gc, json, tracemalloc\n"
+            "import numpy as np\n"
+            "from turangood import LinearForest, extremal_search, oracle\n"
+            "oracle._HOLD_ONE_N = 7\n"
+            "tracemalloc.start()\n"
+            f"found = [extremal_search(LinearForest(c), 7, k) for c, k in {specs!r}]\n"
+            "peak = tracemalloc.get_traced_memory()[1]\n"
+            "tracemalloc.stop()\n"
+            "gc.collect()\n"
+            "# arrays are not gc-tracked; find them among what tracked objects hold\n"
+            "live = {id(o): o.dtype.name for r in gc.get_objects()\n"
+            "        for o in (r, *gc.get_referents(r))\n"
+            "        if isinstance(o, np.ndarray) and o.size == 1 << 21}\n"
+            "print(json.dumps({'peak': peak, 'need': oracle._peak_bytes(7),\n"
+            "                  'live': sorted(live.values()),\n"
+            "                  'found': [r.to_json_dict() for r in found]}))\n")
+    proc = python("-c", code)
+    assert proc.returncode == 0, proc.stderr.decode()
+    out = json.loads(proc.stdout)
+    assert out["peak"] <= out["need"]
+    assert out["live"] in ([], ["bool"], ["uint16"], ["bool", "uint16"])
+    assert out["found"] == [extremal_search(LinearForest(c), 7, k).to_json_dict()
+                            for c, k in specs]

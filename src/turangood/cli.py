@@ -9,6 +9,12 @@ traceback.  Machine formats (json, csv) are the contract;
 human output mirrors the JSON fields one per line, except that
 ``table --format human`` prints CSV.
 
+Every command builds its result once, as JSON objects, CSV rows under
+one header and human blocks, and ``_write`` alone prints it in the
+chosen format.  When the reader of stdout has gone (a closed pipe, as
+in ``| head -1``), the rest of the output is dropped without a
+traceback and the command keeps its exit code.
+
 Defaults for --format, --workers, --cap and --witnesses can be set via
 the TURANGOOD_FORMAT, TURANGOOD_WORKERS, TURANGOOD_CAP and
 TURANGOOD_WITNESSES environment variables.  FORMAT applies to every
@@ -68,22 +74,28 @@ def _parse_turan(text: str) -> PartSizes:
     return turan_parts(n, k)
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
-
-
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
-
-
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _write(fmt: str, objs, header: list[str], rows: list[list],
+           blocks: list[str] | None = None) -> None:
+    """Print one result in ``fmt``: ``objs`` as indented JSON, ``rows``
+    under ``header`` as CSV, or the human ``blocks`` separated by a
+    blank line (CSV when there are none), in one write and one flush."""
+    if fmt == "json":
+        text = json.dumps(objs, indent=2, sort_keys=True)
+    elif fmt == "csv" or blocks is None:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue()
+    else:
+        text = "\n\n".join(blocks)
+    try:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left; the flush at exit must not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -91,28 +103,11 @@ def cmd_count(args: argparse.Namespace) -> int:
     parts = args.parts
     inj = count_injective_homs(forest, parts)
     aut = aut_order(forest)
-    payload = {
-        "forest": str(forest),
-        "parts": list(parts.canonical),
-        "injective_homs": inj,
-        "aut": aut,
-        "copies": copies_from_injective_homs(inj, aut),
-    }
-    if args.format == "json":
-        _emit(_json_dumps(payload))
-    elif args.format == "csv":
-        _emit(_csv_text(
-            ["forest", "parts", "injective_homs", "aut", "copies"],
-            [[payload["forest"], ",".join(map(str, payload["parts"])),
-              inj, aut, payload["copies"]]]))
-    else:
-        lines = []
-        for key in ("forest", "parts", "injective_homs", "aut", "copies"):
-            val = payload[key]
-            if key == "parts":
-                val = ",".join(map(str, val))
-            lines.append(f"{key}: {val}")
-        _emit("\n".join(lines))
+    header = ["forest", "parts", "injective_homs", "aut", "copies"]
+    row = [str(forest), ",".join(map(str, parts.canonical)), inj, aut,
+           copies_from_injective_homs(inj, aut)]
+    _write(args.format, dict(zip(header, row), parts=list(parts.canonical)), header, [row],
+           ["\n".join(f"{key}: {val}" for key, val in zip(header, row))])
     return 0
 
 
@@ -159,43 +154,30 @@ def _sweep_reports(args: argparse.Namespace) -> list[verify_mod.VerificationRepo
 def cmd_verify(args: argparse.Namespace) -> int:
     reports = _sweep_reports(args)
     dicts = [r.to_json_dict() for r in reports]
-    if args.format == "json":
-        _emit(_json_dumps(dicts))
-    elif args.format == "csv":
-        rows = [[d["claim"], json.dumps(d["params"], sort_keys=True), d["verdict"],
-                 d["instances_checked"],
-                 json.dumps(d.get("counterexample"), sort_keys=True)
-                 if d.get("counterexample") is not None else ""]
-                for d in dicts]
-        _emit(_csv_text(
-            ["claim", "params", "verdict", "instances_checked", "counterexample"],
-            rows))
-    else:
-        blocks = []
-        for d in dicts:
-            lines = [f"claim: {d['claim']}",
-                     f"params: {json.dumps(d['params'], sort_keys=True)}",
-                     f"verdict: {d['verdict']}",
-                     f"maximizers: {json.dumps(d['maximizers'])}",
-                     f"instances_checked: {d['instances_checked']}"]
-            if "ratio" in d:
-                lines.append(f"ratio: {d['ratio']}")
-            if "counterexample" in d:
-                lines.append(
-                    f"counterexample: {json.dumps(d['counterexample'], sort_keys=True)}")
-            blocks.append("\n".join(lines))
-        _emit("\n\n".join(blocks))
+    rows, blocks = [], []
+    for d in dicts:
+        params = json.dumps(d["params"], sort_keys=True)
+        found = (json.dumps(d["counterexample"], sort_keys=True)
+                 if "counterexample" in d else "")
+        rows.append([d["claim"], params, d["verdict"], d["instances_checked"], found])
+        lines = [f"claim: {d['claim']}", f"params: {params}", f"verdict: {d['verdict']}",
+                 f"maximizers: {json.dumps(d['maximizers'])}",
+                 f"instances_checked: {d['instances_checked']}"]
+        if "ratio" in d:
+            lines.append(f"ratio: {d['ratio']}")
+        if found:
+            lines.append(f"counterexample: {found}")
+        blocks.append("\n".join(lines))
+    _write(args.format, dicts,
+           ["claim", "params", "verdict", "instances_checked", "counterexample"], rows, blocks)
     return 0 if all(r.holds for r in reports) else 1
 
 
 def cmd_table(args: argparse.Namespace) -> int:
     forest = args.forest
+    header = ["n", "k", "forest", "count"]
     rows = [[n, k, str(forest), count_copies_turan(forest, n, k)] for n, k in _grid(args)]
-    if args.format == "json":
-        _emit(_json_dumps([
-            {"n": n, "k": k, "forest": f, "count": c} for n, k, f, c in rows]))
-    else:
-        _emit(_csv_text(["n", "k", "forest", "count"], rows))
+    _write(args.format, [dict(zip(header, row)) for row in rows], header, rows)
     return 0
 
 

@@ -155,14 +155,13 @@ def balancing_move(parts: PartSizes, i: int, j: int) -> PartSizes:
     return PartSizes(tuple(sizes))
 
 
-def balance_trajectory(parts: PartSizes, max_steps: int | None = None) -> list[PartSizes]:
+def balance_trajectory(parts: PartSizes) -> list[PartSizes]:
     """Repeatedly balance the currently smallest part against the
     currently largest until all parts are within one vertex, returning
     the intermediate partitions (input excluded)."""
     if parts.k == 0:
         return []
-    if max_steps is None:
-        max_steps = max(parts.n, 1) + 1
+    max_steps = max(parts.n, 1) + 1
     cur = parts
     out: list[PartSizes] = []
     while True:

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -392,6 +393,46 @@ class TestPinnedBytes:
 
 
 
+def _fake_conjecture(forest, n, k, **kwargs):
+    """A holding report at k = 2 and a counterexample with one witness
+    (the 5-cycle) at every other k."""
+    params = {"forest": str(forest), "n": n, "k": k}
+    if k == 2:
+        return VerificationReport("conjecture", params, "holds", instances_checked=1024)
+    witness = {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [0, 4], [3, 4]], "graph6": "Dhc"}
+    return VerificationReport(
+        "conjecture", params, "counterexample",
+        counterexample={"max_count": 7, "turan_count": 6, "witnesses": [witness]},
+        instances_checked=1024)
+
+
+# stdout sha256 of _fake_conjecture's two reports in each format, taken
+# before the three per-command format switches became one writer
+_COUNTEREXAMPLE_PINS = {
+    "human": "01cddbf8808ca3376f4986b21ff3746d4cf90a75ad8b43ab1837c1a683caa4dd",
+    "json": "8b9be5bf6600caaa793abbe43cfc48a1d841afb77eec0d1112408a4f1419ec19",
+    "csv": "2fe99aa663a5e453f2fb45a270d666cb82b970117a2dba148920f3b27e1fd12f",
+}
+# the bytes each pin must cover: the blank line between human blocks and
+# the CSV quoting of the counterexample's JSON
+_COUNTEREXAMPLE_SHOWS = {
+    "human": "instances_checked: 1024\n\nclaim: conjecture\n",
+    "json": '"counterexample": {\n',
+    "csv": ',counterexample,1024,"{""max_count"": 7, ""turan_count"": 6, ""witnesses"": [{',
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_counterexample_bytes(capsys, monkeypatch, fmt):
+    monkeypatch.setattr("turangood.verify.verify_conjecture", _fake_conjecture)
+    code, out, err = invoke(capsys, "verify", "conjecture", "--forest", "3", "--n", "5",
+                            "--k", "2..3", "--format", fmt)
+    assert (code, err) == (1, "")
+    assert _COUNTEREXAMPLE_SHOWS[fmt] in out
+    assert hashlib.sha256(out.encode()).hexdigest() == _COUNTEREXAMPLE_PINS[fmt]
+
+
+
 
 # Numbers stay in -2..6 and junk has no digits, so every n, part size and
 # forest order is small and no example is expensive (conjecture at n <= 6,
@@ -450,3 +491,40 @@ class TestFuzz:
         if code == 1:  # only a verifier's counterexample exits 1
             assert ("verdict: counterexample" in out or '"verdict": "counterexample"' in out
                     or ",counterexample," in out), out
+
+    @settings(max_examples=200, deadline=None)
+    @given(argv=_argv())
+    def test_formats_carry_the_same_values(self, argv):
+        codes, outs = {}, {}
+        for fmt in FORMATS:  # the last --format wins
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                codes[fmt] = run([*argv, "--format", fmt])
+            outs[fmt] = out.getvalue()
+        assert len(set(codes.values())) == 1, codes
+        if codes["json"] != 0 or outs["json"].startswith("usage: "):  # an error or -h
+            return
+        data = json.loads(outs["json"])
+        header, *rows = csv.reader(io.StringIO(outs["csv"]))
+        if isinstance(data, dict):  # count
+            [row] = rows
+            assert sorted(header) == sorted(data)
+            assert row == [",".join(map(str, v)) if isinstance(v, list) else str(v)
+                           for v in map(data.get, header)]
+            assert outs["human"].splitlines() == [f"{h}: {v}" for h, v in zip(header, row)]
+        elif "claim" not in data[0]:  # table, whose human output is CSV
+            assert rows == [[str(d[h]) for h in header] for d in data]
+            assert outs["human"] == outs["csv"]
+        else:  # verify
+            blocks = outs["human"].rstrip("\n").split("\n\n")
+            assert len(rows) == len(blocks) == len(data)
+            for d, row, block in zip(data, rows, blocks):
+                line = dict(zip(header, row))
+                human = dict(text.split(": ", 1) for text in block.splitlines())
+                for fields in (line, human):
+                    assert fields["claim"] == d["claim"]
+                    assert json.loads(fields["params"]) == d["params"]
+                    assert fields["verdict"] == d["verdict"]
+                    assert fields["instances_checked"] == str(d["instances_checked"])
+                assert json.loads(human["maximizers"]) == d["maximizers"]
+                assert human.get("ratio") == d.get("ratio")

@@ -20,10 +20,10 @@ SRC = str(Path(turangood.__file__).resolve().parents[1])
 BENCH = str(Path(__file__).resolve().parents[1] / "bench")
 
 
-def python(*args: str) -> subprocess.CompletedProcess:
+def python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, check=False, timeout=120)
+                          stdout=stdout, stderr=subprocess.PIPE, check=False, timeout=120)
 
 
 def modules_added(*argvs: list[str]) -> list[set[str]]:
@@ -64,6 +64,34 @@ class TestEntryPoints:
         proc = python("-m", module, "count", "--parts", "2,3")
         assert proc.returncode == 2
         assert b"--forest" in proc.stderr
+
+
+class TestClosedStdout:
+    """A reader that has gone (``| head -1``) costs the rest of the output,
+    not a traceback or the exit code of a counterexample."""
+
+    # a stand-in verifier, so that a counterexample exists
+    FAKE = ["from turangood import VerificationReport, verify",
+            "verify.verify_conjecture = lambda *a, **kw: VerificationReport(",
+            "    'conjecture', {}, 'counterexample', counterexample={}, instances_checked=1)"]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["count", "--forest", "3", "--parts", "2,3"], 0),
+        (["table", "--forest", "2", "--k", "2", "--n", "1..6", "--format", "json"], 0),
+        (["verify", "multipartite-max", "--forest", "3,2", "--n", "8", "--k", "3"], 0),
+        (["verify", "odd-identity", "--forest", "5,3", "--n", "8..10", "--format", "csv"], 0),
+        (["verify", "conjecture", "--forest", "3", "--n", "5", "--k", "2"], 1),
+    ], ids=["count", "table", "multipartite-max", "odd-identity", "counterexample"])
+    def test_exit_code_kept_without_traceback(self, argv, code):
+        lines = [*(self.FAKE if code else []), "from turangood import cli",
+                 f"raise SystemExit(cli.run({argv!r}))"]
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = python("-c", "\n".join(lines), stdout=write)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr.decode()) == (code, "")
 
 
 class TestStartupImports:

@@ -1,9 +1,9 @@
 """Ground truth on explicit small graphs.
 
 This module is the reference side of every count: explicit graphs with
-bitmask adjacency, plain backtracking for injective homomorphisms, a
-clique search, and an exhaustive maximizer over all labeled n-vertex
-graphs.
+bitmask adjacency, a layer DP over (last vertex, used vertex set) that
+counts injective homomorphisms into a batch of graphs at once, a clique
+search, and an exhaustive maximizer over all labeled n-vertex graphs.
 
 Edge bit layout (shared by edge masks and graph6 strings): the vertex
 pairs of an n-vertex graph are enumerated column by column along the
@@ -18,7 +18,7 @@ sequence most-significant-first into 6-bit groups, each offset by 63,
 prefixed with chr(n + 63).
 
 The exhaustive search enumerates every labeled graph.  Rather than
-running the backtracking counter 2^(n(n-1)/2) times, it counts once per
+running the reference counter 2^(n(n-1)/2) times, it counts once per
 injective placement: each placement of the forest into the complete
 graph K_n demands a fixed set of edges, and the number of placements
 whose demanded edges all lie inside G is obtained for every G at once
@@ -43,11 +43,11 @@ array is kept, so at most one outlives a search; at n = 8, where one
 array is 256 or 512 MiB, each array cache also drops its entry before
 it builds the next, so one count array and one selector are alive at a
 time.  The result is exact and is spot-checked, per forest and
-uncached, against the backtracking counter and the clique search on
-every witness it returns.
-Only these array stages use numpy, and they import it when they first
-run, so importing the package and every command but ``verify
-conjecture`` never load it.
+uncached: one call of the reference counter counts the Turan graph and
+every witness it returns, and the clique search checks every witness.
+Only these array stages and the reference counter use numpy, and they
+import it when they first run, so importing the package and every
+command but ``verify conjecture`` never load it.
 """
 
 from __future__ import annotations
@@ -80,6 +80,9 @@ _HOLD_ONE_N = EXHAUSTIVE_CAP_LIMIT
 """From this n on one array is 256 MiB or more, so each array cache
 drops what it holds before it builds the next array: one count array
 and one selector are alive at a time.  Below it the caches keep theirs."""
+_REF_CHUNK = 32
+"""Graphs per step of the reference counter; bounds its (graphs, n, 2^n)
+int64 states however many witnesses a search returns."""
 
 
 @lru_cache(maxsize=None)
@@ -213,34 +216,59 @@ def explicit_multipartite(parts: PartsLike) -> SmallGraph:
     return SmallGraph.from_edges(n, edges)
 
 
-@lru_cache(maxsize=1 << 16)
-def _inj_homs_explicit(comps: tuple[int, ...], n: int, adj: tuple[int, ...]) -> int:
-    flags = back_edge_flags(comps) + (False,)
-    full = (1 << n) - 1
-    # placements of the first pos vertices, keyed by (previous vertex if
-    # the next one must be adjacent to it, else -1; used-vertex mask)
-    layer = {(-1, 0): 1}
-    for pos in range(len(flags) - 1):
-        keep_prev = flags[pos + 1]
-        nxt: dict[tuple[int, int], int] = {}
-        for (prev, used), ways in layer.items():
-            cand = (adj[prev] if prev >= 0 else full) & ~used
-            while cand:
-                vbit = cand & -cand
-                cand ^= vbit
-                key = (vbit.bit_length() - 1 if keep_prev else -1, used | vbit)
-                nxt[key] = nxt.get(key, 0) + ways
-        layer = nxt
-    return sum(layer.values())
+def _inj_homs_explicit(comps: tuple[int, ...], graphs: list[SmallGraph]) -> list[int]:
+    """Injective homomorphism counts of the forest with these components
+    into each graph, all graphs on one vertex count n.
+
+    A layer DP over the forest's vertices, the components laid down in
+    order: cur[w, v, S] is the number of placements of the vertices so far
+    into graph w that use the vertex set S and end at vertex v.  A vertex
+    that must be adjacent to the one before comes from adj @ cur (the
+    adjacency is symmetric), the first vertex of a component from cur
+    summed over v; either way placing v makes S from S ^ bit(v), so one
+    gather at S ^ bit(v) and a mask of the S that hold v finish the step.
+    Graphs run _REF_CHUNK at a time.  Every entry is at most
+    n!/(n-m)! <= 10!, so int64 is exact.
+    """
+    if not graphs:
+        return []
+    n = graphs[0].n
+    if any(g.n != n for g in graphs):
+        raise ValueError("graphs of one batch must share their vertex count")
+    flags = back_edge_flags(comps)
+    if len(flags) > n:  # no injective placement; skips a layer per vertex
+        return [0] * len(graphs)
+    import numpy as np
+
+    sets = np.arange(1 << n)
+    vbits = np.arange(n)[:, None]
+    prior = sets ^ (1 << vbits)  # S ^ bit(v), shape (n, 2^n)
+    holds = (sets >> vbits & 1).astype(bool)  # v in S
+    counts = []
+    for lo in range(0, len(graphs), _REF_CHUNK):
+        rows = np.array([g.adj for g in graphs[lo:lo + _REF_CHUNK]], dtype=np.int64)
+        adj = rows.reshape(len(rows), n, 1) >> vbits.T & 1
+        # before the first vertex: one empty placement, S = {}
+        cur = np.zeros((len(rows), 1, 1 << n), dtype=np.int64)
+        cur[:, 0, 0] = 1
+        for back in flags:
+            if back:
+                cur = (adj @ cur)[:, vbits, prior]
+            else:
+                cur = cur.sum(axis=1)[:, prior]
+            cur *= holds
+        counts.extend(cur.sum(axis=(1, 2)).tolist())
+    return counts
 
 
 def count_injective_homs_explicit(forest: LinearForest, g: SmallGraph) -> int:
-    """Backtracking count of injective edge-preserving maps into g."""
-    return _inj_homs_explicit(forest.components, g.n, g.adj)
+    """Injective edge-preserving maps of the forest into g, by the
+    reference layer DP (a batch of one)."""
+    return _inj_homs_explicit(forest.components, [g])[0]
 
 
 def count_copies_explicit(forest: LinearForest, g: SmallGraph) -> int:
-    """Backtracking copy count: injective homomorphisms / automorphisms."""
+    """Reference copy count: injective homomorphisms / automorphisms."""
     return copies_from_injective_homs(count_injective_homs_explicit(forest, g),
                                       aut_order(forest))
 
@@ -489,7 +517,16 @@ def _peak_bytes(n: int) -> int:
     # plus about 48 bytes of int64 masks, seeds and temporaries, and one
     # gathered chunk of uint16 rows
     build = perm(n, n) * (n + 48) + (_CHUNK_ROWS << _ROW_BITS) * 2
-    return 3 * size + shard * (2 + 1 + 8) + build
+    return 3 * size + shard * (2 + 1 + 8) + build + _ref_peak_bytes(n)
+
+
+def _ref_peak_bytes(n: int) -> int:
+    """Upper estimate of the array bytes the reference counter allocates
+    on n-vertex graphs, however many: one chunk's three int64 (graphs, n,
+    2^n) state arrays (the last, the product or sum, the gathered next)
+    and room for one more, four (n, 2^n) index tables and temporaries,
+    and the adjacency twice."""
+    return (4 * _REF_CHUNK + 4) * (n * 8 << n) + _REF_CHUNK * n * n * 16
 
 
 def extremal_search(forest: LinearForest, n: int, k: int, *,
@@ -527,19 +564,19 @@ def extremal_search(forest: LinearForest, n: int, k: int, *,
     max_inj = core_max * factor
 
     max_count = copies_from_injective_homs(max_inj, aut_order(forest))
+    # engine self-check: the Turan graph and every witness are counted
+    # again by the reference counter in one batch; the reported maximum
+    # and the clique filter must agree with it on every witness
     turan_graph = explicit_multipartite(turan_parts(n, k))
-    turan_count = count_copies_explicit(forest, turan_graph)
-
-    witnesses = []
-    for mask in witness_masks:
-        g = SmallGraph.from_edge_mask(n, mask)
-        # engine self-check: the reported maximum and the clique filter
-        # must agree with the plain backtracking reference on every witness
-        if count_injective_homs_explicit(forest, g) != max_inj:
+    witnesses = [SmallGraph.from_edge_mask(n, mask) for mask in witness_masks]
+    turan_inj, *witness_inj = _inj_homs_explicit(forest.components,
+                                                 [turan_graph] + witnesses)
+    turan_count = copies_from_injective_homs(turan_inj, aut_order(forest))
+    for mask, g, inj in zip(witness_masks, witnesses, witness_inj):
+        if inj != max_inj:
             raise RuntimeError(f"scan self-check failed on mask {mask}")
         if not is_clique_free(g, k + 1):
             raise RuntimeError(f"clique filter self-check failed on mask {mask}")
-        witnesses.append(g)
 
     if max_count < turan_count:
         raise RuntimeError("scan missed the Turan graph; engine defect")

@@ -22,6 +22,7 @@ from turangood import (
 )
 from turangood import oracle
 from turangood.oracle import (
+    WITNESS_CAP_DEFAULT,
     _clique_free_selector,
     _edge_index,
     _edge_pairs,
@@ -146,6 +147,66 @@ class TestCountCopiesExplicit:
                 == brute_inj_homs(comps, n, set(g.edges())))
 
 
+def random_graphs(rng, n, count):
+    nbits = n * (n - 1) // 2
+    return [SmallGraph.from_edge_mask(n, rng.randrange(1 << nbits)) for _ in range(count)]
+
+
+class TestReferenceBatch:
+    """The batched reference counter against a permutation brute force."""
+
+    @pytest.mark.parametrize("n", range(0, 11))
+    def test_random_batches_match_permutations(self, n):
+        # every forest on <= 6 vertices up to n = 7, on <= 4 vertices
+        # from n = 8 on; below n = 6 this includes forests larger than n
+        rng = random.Random(100 + n)
+        for comps in [()] + all_forests(6 if n <= 7 else 4):
+            graphs = random_graphs(rng, n, rng.randint(1, 4))
+            assert (oracle._inj_homs_explicit(comps, graphs)
+                    == [brute_inj_homs(comps, n, set(g.edges())) for g in graphs]), (n, comps)
+
+    def test_edge_cases(self):
+        rng = random.Random(7)
+        graphs = random_graphs(rng, 5, 6)
+        assert oracle._inj_homs_explicit((3,), []) == []
+        assert oracle._inj_homs_explicit((), graphs) == [1] * 6
+        assert oracle._inj_homs_explicit((), [SmallGraph(0, ())]) == [1]
+        assert oracle._inj_homs_explicit((1,), [SmallGraph(0, ())]) == [0]
+        assert oracle._inj_homs_explicit((4, 2), graphs) == [0] * 6
+        assert oracle._inj_homs_explicit((1,) * 5, graphs) == [120] * 6
+        with pytest.raises(ValueError, match="vertex count"):
+            oracle._inj_homs_explicit((2,), graphs + random_graphs(rng, 4, 1))
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_chunks_bound_the_arrays(self, n):
+        # 500 graphs at once; paths and matchings keep every layer full
+        graphs = random_graphs(random.Random(n), n, 500)
+        for comps in [(n,), (2,) * (n // 2)]:
+            tracemalloc.start()
+            try:
+                oracle._inj_homs_explicit(comps, graphs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= oracle._ref_peak_bytes(n), (n, comps, peak)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_batch_order_and_chunks_do_not_matter(self, monkeypatch, chunk):
+        rng = random.Random(chunk)
+        for n in (4, 6, 7):
+            graphs = random_graphs(rng, n, 10)
+            for comps in [(2,), (3, 1), (2, 2), (4,), (1, 1)]:
+                alone = [count_injective_homs_explicit(LinearForest(comps), g) for g in graphs]
+                assert oracle._inj_homs_explicit(comps, graphs) == alone
+                order = list(range(len(graphs)))
+                rng.shuffle(order)
+                with monkeypatch.context() as mp:
+                    mp.setattr(oracle, "_REF_CHUNK", chunk)
+                    assert oracle._inj_homs_explicit(comps, graphs) == alone
+                    shuffled = oracle._inj_homs_explicit(comps, [graphs[i] for i in order])
+                assert shuffled == [alone[i] for i in order]
+
+
 class TestIsCliqueFree:
     def test_triangle(self):
         assert is_clique_free(explicit_multipartite((1, 1, 1)), 3) is False
@@ -173,7 +234,7 @@ class TestIsCliqueFree:
 
 
 class TestScanEngine:
-    """The transform-based per-graph counts must equal plain backtracking."""
+    """The transform-based per-graph counts must equal the reference counter."""
 
     def test_all_masks_up_to_n5(self):
         for n in range(0, 6):
@@ -346,6 +407,26 @@ class TestLeanEngine:
             tracemalloc.stop()
         assert peak <= oracle._peak_bytes(7), (comps, peak)
 
+    @pytest.mark.parametrize("comps", [(4, 3), (1,) * 6])
+    def test_peak_estimate_covers_many_witnesses(self, comps):
+        # a forest larger than n, or one of n isolated vertices, ties on
+        # every triangle-free mask, so 5000 witnesses go to the reference
+        # counter; its arrays stay at one chunk of graphs.  The witnesses
+        # are Python objects the search returns, not arrays: their bytes
+        # are measured by building them again
+        clear_engine_caches()
+        tracemalloc.start()
+        try:
+            r = extremal_search(LinearForest(comps), 6, 2, witness_cap=5000)
+            peak = tracemalloc.get_traced_memory()[1]
+            before = tracemalloc.get_traced_memory()[0]
+            held = [SmallGraph.from_edge_mask(6, w.edge_mask()) for w in r.witnesses]
+            held_bytes = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 5000
+        assert peak <= oracle._peak_bytes(6) + held_bytes, (comps, peak, held_bytes)
+
 
 def recursive_histogram(n, comps):
     """Demanded edge mask -> number of placements, by plain recursion
@@ -515,6 +596,41 @@ class TestExtremalSearch:
                 for k in range(1, 4):
                     best = max(c for omega, c in counts if omega <= k)
                     assert extremal_search(forest, n, k).max_count == best, (forest, n, k)
+
+
+class TestSelfCheck:
+    """A scan that disagrees with the reference counter or the clique
+    search is an engine defect: the search raises, and ``verify
+    conjecture`` exits 3 without a traceback.  One edge at n = 4, k = 2:
+    the maximum is 8 injective maps, on the three labeled 4-cycles."""
+
+    ARGV = ["verify", "conjecture", "--forest", "2", "--n", "4", "--k", "2"]
+
+    @staticmethod
+    def faulty_scans():
+        best, masks = oracle._core_search(4, (2,), 2, WITNESS_CAP_DEFAULT)
+        assert best == 8 and masks
+        return [
+            # a wrong maximum (even, as every count of one edge is): the
+            # first witness does not reach it
+            ((best + 2, masks), f"scan self-check failed on mask {masks[0]}"),
+            # mask 7 is the triangle on vertices 0-2, with its own count 6
+            ((6, (7,)), "clique filter self-check failed on mask 7"),
+            # the edgeless graph, correctly counted, is below Turan
+            ((0, (0,)), "scan missed the Turan graph; engine defect"),
+        ]
+
+    def test_faulty_scans_raise_in_order(self, monkeypatch, capsys):
+        from turangood.cli import run
+        for scan, message in self.faulty_scans():
+            with monkeypatch.context() as mp:
+                mp.setattr(oracle, "_core_search", lambda n, core, k, cap, scan=scan: scan)
+                with pytest.raises(RuntimeError, match=message):
+                    extremal_search(LinearForest((2,)), 4, 2)
+                assert run(self.ARGV) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"turangood: internal error: RuntimeError: {message}\n"
 
 
 def test_oracle_equivalence_with_dp_small():

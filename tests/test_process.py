@@ -201,3 +201,20 @@ def test_one_array_of_each_kind_while_holding_one():
     assert out["live"] in ([], ["bool"], ["uint16"], ["bool", "uint16"])
     assert out["found"] == [extremal_search(LinearForest(c), 7, k).to_json_dict()
                             for c, k in specs]
+
+
+def test_self_check_holds_under_optimize():
+    # the engine's self-check raises, not asserts: under python -O a scan
+    # whose maximum the reference counter does not confirm still exits 3
+    code = ("import sys\n"
+            "from turangood import oracle\n"
+            "from turangood.cli import run\n"
+            "best, masks = oracle._core_search(4, (2,), 2, 10)\n"
+            "oracle._core_search = lambda n, core, k, cap: (best + 2, masks)\n"
+            "print(masks[0], flush=True)\n"
+            "sys.exit(run(['verify', 'conjecture', '--forest', '2', '--n', '4', '--k', '2']))\n")
+    proc = python("-O", "-c", code)
+    mask = int(proc.stdout)
+    assert proc.returncode == 3, proc.stderr.decode()
+    assert proc.stderr.decode() == ("turangood: internal error: RuntimeError: "
+                                    f"scan self-check failed on mask {mask}\n")

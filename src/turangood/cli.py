@@ -34,6 +34,7 @@ import json
 import os
 import sys
 from collections.abc import Iterator
+from functools import lru_cache
 
 from .forest import LinearForest, aut_order, copies_from_injective_homs
 from .multipartite import PartSizes, count_copies_turan, count_injective_homs, turan_parts
@@ -46,6 +47,8 @@ CLAIMS = ("multipartite-max", "balance", "odd-identity", "even-identity",
 FORMATS = ("human", "json", "csv")
 K_CLAIMS = ("multipartite-max", "conjecture")
 """The verify claims that read --k, as ``table`` does; the others ignore it."""
+ENV_NAMES = ("FORMAT", "CAP", "WORKERS", "WITNESSES")
+"""The environment defaults that ``build_parser`` reads."""
 
 
 def _env_default(name: str, fallback):
@@ -224,6 +227,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser(env: tuple) -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process while ``env``, the values
+    of the ENV_NAMES variables it reads, stays the same."""
+    return build_parser()
+
+
 def _parse_values(args: argparse.Namespace) -> None:
     """Replace each option's text on the namespace with its parsed value.
     The order fixes which error is reported first."""
@@ -267,8 +277,8 @@ def _full_decimal():
 
 def run(argv: list[str] | None = None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        env = tuple(os.environ.get(ENV_PREFIX + name) for name in ENV_NAMES)
+        args = _parser(env).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     except ValueError as exc:

@@ -31,7 +31,10 @@ an overflow guard refuses any forest and n where that bound would not
 hold.  The K_{k+1}-free selector uses the same transform: containing a
 clique is an up-set, so the clique masks are seeded and closed upward
 with OR, then complemented.  One thread scans fixed shards of masks for
-the best count and the smallest tied masks.
+the best count, each shard's own; then it walks the shards that reach
+that count, in mask order, for the smallest tied masks and stops at the
+shard that completes the witnesses, so a search pays for the ties it
+reports, not for every tie.
 
 Isolated vertices demand no edge: each multiplies every count by the
 number of vertices still free, a positive factor that keeps the order
@@ -82,7 +85,7 @@ drops what it holds before it builds the next array: one count array
 and one selector are alive at a time.  Below it the caches keep theirs."""
 _REF_CHUNK = 32
 """Graphs per step of the reference counter; bounds its (graphs, n, 2^n)
-int64 states however many witnesses a search returns."""
+float64 states however many witnesses a search returns."""
 
 
 @lru_cache(maxsize=None)
@@ -135,6 +138,8 @@ class SmallGraph(Record):
 
     @classmethod
     def from_edge_mask(cls, n: int, mask: int) -> "SmallGraph":
+        if not 0 <= n <= MAX_GRAPH_VERTICES:
+            raise ValueError(f"vertex count {n} outside [0, {MAX_GRAPH_VERTICES}]")
         pairs = _edge_pairs(n)
         if mask < 0 or mask >> len(pairs):
             raise ValueError(f"edge mask {mask} out of range for n={n}")
@@ -143,7 +148,10 @@ class SmallGraph(Record):
             if mask >> t & 1:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-        return cls(n, tuple(adj))
+        # symmetric and loop-free as built: skip the O(n^2) check of __init__
+        g = cls.__new__(cls)
+        g._set(n, tuple(adj))
+        return g
 
     def edge_mask(self) -> int:
         mask = 0
@@ -216,6 +224,22 @@ def explicit_multipartite(parts: PartsLike) -> SmallGraph:
     return SmallGraph.from_edges(n, edges)
 
 
+@lru_cache(maxsize=None)
+def _ref_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables of the reference counter on n vertices: the vertices
+    as a column, S ^ bit(v) and whether v is in S, each of shape (n, 2^n)
+    but the first."""
+    import numpy as np
+
+    sets = np.arange(1 << n)
+    vbits = np.arange(n)[:, None]
+    prior = sets ^ (1 << vbits)
+    holds = (sets >> vbits & 1).astype(np.float64)
+    for table in (vbits, prior, holds):
+        table.setflags(write=False)
+    return vbits, prior, holds
+
+
 def _inj_homs_explicit(comps: tuple[int, ...], graphs: list[SmallGraph]) -> list[int]:
     """Injective homomorphism counts of the forest with these components
     into each graph, all graphs on one vertex count n.
@@ -227,8 +251,10 @@ def _inj_homs_explicit(comps: tuple[int, ...], graphs: list[SmallGraph]) -> list
     adjacency is symmetric), the first vertex of a component from cur
     summed over v; either way placing v makes S from S ^ bit(v), so one
     gather at S ^ bit(v) and a mask of the S that hold v finish the step.
-    Graphs run _REF_CHUNK at a time.  Every entry is at most
-    n!/(n-m)! <= 10!, so int64 is exact.
+    Graphs run _REF_CHUNK at a time.  The states are float64, so adj @ cur
+    runs in BLAS; that is exact, because every entry, every partial sum of
+    the product and every total is a count of placements, at most
+    n!/(n-m)! <= 10! < 2^53, and float64 holds every integer below 2^53.
     """
     if not graphs:
         return []
@@ -240,16 +266,13 @@ def _inj_homs_explicit(comps: tuple[int, ...], graphs: list[SmallGraph]) -> list
         return [0] * len(graphs)
     import numpy as np
 
-    sets = np.arange(1 << n)
-    vbits = np.arange(n)[:, None]
-    prior = sets ^ (1 << vbits)  # S ^ bit(v), shape (n, 2^n)
-    holds = (sets >> vbits & 1).astype(bool)  # v in S
+    vbits, prior, holds = _ref_tables(n)
     counts = []
     for lo in range(0, len(graphs), _REF_CHUNK):
         rows = np.array([g.adj for g in graphs[lo:lo + _REF_CHUNK]], dtype=np.int64)
-        adj = rows.reshape(len(rows), n, 1) >> vbits.T & 1
+        adj = (rows.reshape(len(rows), n, 1) >> vbits.T & 1).astype(np.float64)
         # before the first vertex: one empty placement, S = {}
-        cur = np.zeros((len(rows), 1, 1 << n), dtype=np.int64)
+        cur = np.zeros((len(rows), 1, 1 << n))
         cur[:, 0, 0] = 1
         for back in flags:
             if back:
@@ -257,7 +280,7 @@ def _inj_homs_explicit(comps: tuple[int, ...], graphs: list[SmallGraph]) -> list
             else:
                 cur = cur.sum(axis=1)[:, prior]
             cur *= holds
-        counts.extend(cur.sum(axis=(1, 2)).tolist())
+        counts.extend(int(c) for c in cur.sum(axis=(1, 2)).tolist())
     return counts
 
 
@@ -459,18 +482,40 @@ def _inj_counts_all_graphs(n: int, comps: tuple[int, ...]) -> np.ndarray:
 _drop_counts = _inj_counts_all_graphs.cache_clear
 
 
-def _scan_shard(counts: np.ndarray, ok: np.ndarray, lo: int, hi: int,
-                witness_cap: int) -> tuple[int, list[int]]:
-    """Best count among the selected masks in [lo, hi) (0 when none is
-    selected) and the first witness_cap selected masks that reach it."""
+def _scan_shard(counts: np.ndarray, ok: np.ndarray, lo: int, hi: int) -> int:
+    """Best count among the selected masks in [lo, hi), 0 when none is
+    selected."""
+    return int((counts[lo:hi] * ok[lo:hi]).max())
+
+
+def _shard_ties(counts: np.ndarray, ok: np.ndarray, best: int, lo: int, hi: int,
+                limit: int) -> list[int]:
+    """The first ``limit`` selected masks in [lo, hi) whose count is best."""
     import numpy as np
 
-    c = counts[lo:hi]
-    sel = ok[lo:hi]
-    best = int((c * sel).max())
-    tied = c == best
-    tied &= sel
-    return best, [lo + int(m) for m in np.flatnonzero(tied)[:witness_cap]]
+    tied = counts[lo:hi] == best
+    tied &= ok[lo:hi]
+    return [lo + int(m) for m in np.flatnonzero(tied)[:limit]]
+
+
+def _scan(counts: np.ndarray, ok: np.ndarray, witness_cap: int) -> tuple[int, tuple[int, ...]]:
+    """Best count among the selected masks (0 when none is selected) and
+    the first witness_cap selected masks that reach it.
+
+    The max first, shard by shard; then the ties, in mask order, only in
+    the shards whose own best is the max, stopping at the shard that
+    completes them."""
+    size = counts.size
+    bounds = [(lo, min(lo + _SHARD_SIZE, size)) for lo in range(0, size, _SHARD_SIZE)]
+    bests = [_scan_shard(counts, ok, lo, hi) for lo, hi in bounds]
+    best = max(bests)
+    ties: list[int] = []
+    for (lo, hi), shard_best in zip(bounds, bests):
+        if len(ties) >= witness_cap:
+            break
+        if shard_best == best:
+            ties += _shard_ties(counts, ok, best, lo, hi, witness_cap - len(ties))
+    return best, tuple(ties)
 
 
 @lru_cache(maxsize=256)
@@ -480,19 +525,9 @@ def _core_search(n: int, core: tuple[int, ...], k: int,
     K_{k+1}-free graphs on n labeled vertices, and the first witness_cap
     masks that reach it.  Holds no array, so caching it is cheap: every
     forest with this core reuses the scan."""
-    size = 1 << (n * (n - 1) // 2)
     # counts first: the first numpy import lands in the counting stage
     counts = _inj_counts_all_graphs(n, core)
-    ok = _clique_free_selector(n, k + 1)
-    # shards in mask order: a later shard only adds ties past earlier ones
-    max_inj, witness_masks = -1, []
-    for lo in range(0, size, _SHARD_SIZE):
-        best, ties = _scan_shard(counts, ok, lo, min(lo + _SHARD_SIZE, size), witness_cap)
-        if best > max_inj:
-            max_inj, witness_masks = best, ties
-        elif best == max_inj:
-            witness_masks = (witness_masks + ties)[:witness_cap]
-    return max_inj, tuple(witness_masks)
+    return _scan(counts, _clique_free_selector(n, k + 1), witness_cap)
 
 
 def _mem_available() -> int | None:
@@ -512,7 +547,8 @@ def _peak_bytes(n: int) -> int:
     size = 1 << (n * (n - 1) // 2)
     shard = min(size, _SHARD_SIZE)
     # uint16 core counts, bool selector inverted in place; then the scan's
-    # masked uint16 product, tie mask and tie indices of one shard.  While
+    # temporaries of one shard: the masked uint16 product of the max pass,
+    # or the tie mask and tie indices of the tie pass.  While
     # an array is built: at most n! placements, each an int8 per vertex
     # plus about 48 bytes of int64 masks, seeds and temporaries, and one
     # gathered chunk of uint16 rows
@@ -522,10 +558,10 @@ def _peak_bytes(n: int) -> int:
 
 def _ref_peak_bytes(n: int) -> int:
     """Upper estimate of the array bytes the reference counter allocates
-    on n-vertex graphs, however many: one chunk's three int64 (graphs, n,
-    2^n) state arrays (the last, the product or sum, the gathered next)
-    and room for one more, four (n, 2^n) index tables and temporaries,
-    and the adjacency twice."""
+    on n-vertex graphs, however many: one chunk's three float64 (graphs,
+    n, 2^n) state arrays (the last, the product or sum, the gathered next;
+    8 bytes an entry, as int64 would be) and room for one more, four
+    (n, 2^n) index tables and temporaries, and the adjacency twice."""
     return (4 * _REF_CHUNK + 4) * (n * 8 << n) + _REF_CHUNK * n * n * 16
 
 

@@ -329,6 +329,40 @@ class TestInvalidEnvironment:
         assert "Traceback" not in err
         assert err.endswith(f"error: argument --{name.lower()}: invalid int value: 'x'\n")
 
+    def test_environment_read_on_every_call(self, capsys, monkeypatch):
+        # one parser per process while the variables stay the same; a
+        # change between two calls in one process still takes effect
+        from turangood import cli
+        for name in cli.ENV_NAMES:
+            monkeypatch.delenv("TURANGOOD_" + name, raising=False)
+        code, out, _ = invoke(capsys, *self._COUNT)
+        assert (code, out.splitlines()[0]) == (0, "forest: 3")
+        hits = cli._parser.cache_info().hits
+        assert invoke(capsys, *self._COUNT)[:2] == (code, out)
+        assert cli._parser.cache_info().hits == hits + 1
+        monkeypatch.setenv("TURANGOOD_FORMAT", "json")
+        code, out, _ = invoke(capsys, *self._COUNT)
+        assert (code, json.loads(out)["copies"]) == (0, 9)
+        monkeypatch.setenv("TURANGOOD_FORMAT", "xml")
+        code, _, err = invoke(capsys, *self._COUNT)
+        assert (code, err) == (2, "turangood: error: TURANGOOD_FORMAT must be one of "
+                                  "human, json, csv, got 'xml'\n")
+        monkeypatch.delenv("TURANGOOD_FORMAT")
+        assert invoke(capsys, *self._VERIFY)[0] == 0
+        monkeypatch.setenv("TURANGOOD_CAP", "3")
+        code, _, err = invoke(capsys, *self._VERIFY)
+        assert (code, err) == (2, "turangood: error: n=4 outside [0, 3]; "
+                                  "refusing unbounded scan\n")
+        monkeypatch.setenv("TURANGOOD_CAP", "y")
+        code, _, err = invoke(capsys, *self._VERIFY)
+        assert code == 2 and err.endswith("argument --cap: invalid int value: 'y'\n")
+        monkeypatch.delenv("TURANGOOD_CAP")
+        monkeypatch.setenv("TURANGOOD_WORKERS", "0")
+        code, _, err = invoke(capsys, *self._VERIFY)
+        assert (code, err) == (2, "turangood: error: workers must be >= 1, got 0\n")
+        monkeypatch.delenv("TURANGOOD_WORKERS")
+        assert invoke(capsys, *self._VERIFY)[0] == 0
+
 
 # stdout sha256 of each command form in each format, taken before the
 # argv-to-verifier plumbing was rewritten; every form exits 0

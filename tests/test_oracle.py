@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from collections import Counter
 from itertools import combinations
+from math import perm
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from turangood import (
 )
 from turangood import oracle
 from turangood.oracle import (
+    MAX_GRAPH_VERTICES,
     WITNESS_CAP_DEFAULT,
     _clique_free_selector,
     _edge_index,
@@ -57,6 +59,25 @@ class TestSmallGraph:
                 mask = random.randrange(1 << nbits) if nbits else 0
                 g = SmallGraph.from_edge_mask(n, mask)
                 assert g.edge_mask() == mask
+
+    def test_edge_mask_equals_validated_graph(self):
+        # from_edge_mask skips __init__'s symmetry check; every mask must
+        # still give the graph that the validating constructor accepts
+        for n in range(0, 6):
+            pairs = _edge_pairs(n)
+            for mask in range(1 << len(pairs)):
+                adj = [0] * n
+                for t, (i, j) in enumerate(pairs):
+                    if mask >> t & 1:
+                        adj[i] |= 1 << j
+                        adj[j] |= 1 << i
+                assert SmallGraph.from_edge_mask(n, mask) == SmallGraph(n, tuple(adj))
+
+    @pytest.mark.parametrize("n,mask", [(3, -1), (3, 8), (0, 1), (5, 1 << 10), (-1, 0),
+                                        (11, 0)])
+    def test_edge_mask_out_of_range_raises(self, n, mask):
+        with pytest.raises(ValueError):
+            SmallGraph.from_edge_mask(n, mask)
 
     def test_graph6_known_values(self):
         k4 = SmallGraph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -176,6 +197,21 @@ class TestReferenceBatch:
         assert oracle._inj_homs_explicit((1,) * 5, graphs) == [120] * 6
         with pytest.raises(ValueError, match="vertex count"):
             oracle._inj_homs_explicit((2,), graphs + random_graphs(rng, 4, 1))
+
+    def test_exact_at_the_float64_bound(self):
+        # the states are float64: every count the counter can meet is at
+        # most perm(MAX_GRAPH_VERTICES, MAX_GRAPH_VERTICES) and must stay
+        # below 2^53, the first integer float64 cannot follow by one
+        top = MAX_GRAPH_VERTICES
+        assert perm(top, top) < 2 ** 53
+        k10 = explicit_multipartite((1,) * top)
+        no_edge = SmallGraph.from_edges(top, [e for e in k10.edges() if e != (0, 1)])
+        got = oracle._inj_homs_explicit((top,), [k10, no_edge])
+        # Hamiltonian paths as vertex sequences; 2 * 9! of them use edge 01
+        assert got == [perm(top, top), perm(top, top) - 2 * perm(top - 1, top - 1)]
+        assert all(type(c) is int for c in got)
+        assert oracle._inj_homs_explicit((1,) * top, [k10]) == [perm(top, top)]
+        assert oracle._inj_homs_explicit((2,) * 5, [k10]) == [perm(top, top)]
 
     @pytest.mark.parametrize("n", [5, 8])
     def test_chunks_bound_the_arrays(self, n):
@@ -482,6 +518,82 @@ class TestSeededEngine:
                 want = recursive_histogram(n, comps)
                 assert demanded.tolist() == sorted(want), (n, comps)
                 assert hits.tolist() == [want[m] for m in sorted(want)], (n, comps)
+
+
+def brute_scan(counts, ok, cap):
+    """The best count over the selected masks (0 when none is) and the
+    first cap selected masks that reach it, one mask at a time."""
+    best = max((int(c) for c, sel in zip(counts, ok) if sel), default=0)
+    ties = [m for m in range(counts.size) if ok[m] and counts[m] == best]
+    return best, tuple(ties[:cap])
+
+
+class TestTwoPhaseScan:
+    """The max pass and the early-exit tie pass against ``brute_scan``."""
+
+    @pytest.mark.parametrize("shard_bits", [4, 10])
+    def test_random_arrays_match_brute(self, monkeypatch, shard_bits):
+        monkeypatch.setattr(oracle, "_SHARD_SIZE", 1 << shard_bits)
+        rng = np.random.default_rng(shard_bits)
+        for size in (1, 8, 1 << 10, 1 << 12):
+            for _ in range(6):
+                top = int(rng.choice([1, 3, 0xFFFF]))
+                counts = rng.integers(0, top + 1, size).astype(np.uint16)
+                ok = rng.random(size) < rng.choice([0.0, 0.01, 0.3, 1.0])
+                for cap in (0, 1, 3, 10, size + 1):
+                    want = brute_scan(counts, ok, cap)
+                    assert oracle._scan(counts, ok, cap) == want, (size, top, cap)
+
+    @pytest.mark.parametrize("shard_bits", [4, 10])
+    def test_edge_cases(self, monkeypatch, shard_bits):
+        shard = 1 << shard_bits
+        monkeypatch.setattr(oracle, "_SHARD_SIZE", shard)
+        size = 4 * shard
+        counts = np.zeros(size, dtype=np.uint16)
+        nothing = np.zeros(size, dtype=bool)
+        assert oracle._scan(counts + 5, nothing, 10) == (0, ())
+        # best 0: the unselected masks 0..2 also count 0 and must not tie
+        ok = np.zeros(size, dtype=bool)
+        ok[[3, shard + 1, size - 1]] = True
+        counts[3:] = 7
+        counts[[3, shard + 1, size - 1]] = 0
+        assert oracle._scan(counts, ok, 10) == (0, (3, shard + 1, size - 1))
+        assert oracle._scan(counts, ok, 0) == (0, ())
+        # best > 0: unselected masks with a higher and with the same count
+        counts[:] = 2
+        ok[:] = True
+        ok[:4] = False
+        counts[0] = 9
+        tied = [1, 2, shard - 2, shard - 1, shard, shard + 1, 3 * shard]
+        counts[tied] = 5
+        for cap in range(7):
+            assert oracle._scan(counts, ok, cap) == (5, tuple(tied[2:2 + cap]))
+
+    def test_tie_pass_stops_at_the_completing_shard(self, monkeypatch):
+        shard = 16
+        monkeypatch.setattr(oracle, "_SHARD_SIZE", shard)
+        visited = []
+        real = oracle._shard_ties
+
+        def spy(counts, ok, best, lo, hi, limit):
+            visited.append(lo)
+            return real(counts, ok, best, lo, hi, limit)
+
+        monkeypatch.setattr(oracle, "_shard_ties", spy)
+        size = 8 * shard
+        counts = np.ones(size, dtype=np.uint16)
+        ok = np.ones(size, dtype=bool)
+        # two ties in each of shards 0, 2, 3, 4, 5; shard 1 stays below
+        for s in (0, 2, 3, 4, 5):
+            counts[[s * shard + 3, s * shard + 9]] = 4
+        for cap, last in [(1, 0), (2, 0), (3, 2), (4, 2), (5, 3), (10, 5), (11, 5)]:
+            visited.clear()
+            best, ties = oracle._scan(counts, ok, cap)
+            assert best == 4 and len(ties) == min(cap, 10)
+            assert visited == [s * shard for s in (0, 2, 3, 4, 5) if s <= last]
+        visited.clear()
+        assert oracle._scan(counts, ok, 0) == (4, ())
+        assert visited == []
 
 
 def clear_engine_caches():

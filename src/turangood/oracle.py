@@ -48,15 +48,26 @@ it builds the next, so one count array and one selector are alive at a
 time.  The result is exact and is spot-checked, per forest and
 uncached: one call of the reference counter counts the Turan graph and
 every witness it returns, and the clique search checks every witness.
-Only these array stages and the reference counter use numpy, and they
-import it when they first run, so importing the package and every
-command but ``verify conjecture`` never load it.
+
+Up to n = _SMALL_N = 6, where an array has at most 2^15 entries and
+importing numpy costs more than the whole search, neither the search
+nor the reference counter uses numpy.  The search keeps the same steps
+on Python ints: the placement histogram is a Counter, and each
+transform runs on 16-bit lanes of one int, one lane per edge mask, with
+a mask K_{k+1}-free when the transform of the clique masks leaves its
+lane 0.  The reference counter runs the same layer DP per graph, as a
+dict.  Only the array stages and the reference counter from n = 7 on
+use numpy, and they import it when they first run, so importing the
+package, every command but ``verify conjecture``, and ``verify
+conjecture`` up to n = 6 never load it.
 """
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
 from functools import lru_cache
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, islice, permutations
 from math import perm
 
 from .forest import (LinearForest, Record, aut_order, back_edge_flags,
@@ -65,6 +76,8 @@ from .multipartite import PartsLike, canonical_sizes, turan_parts
 
 TYPE_CHECKING = False  # type checkers read it as True; spares importing typing
 if TYPE_CHECKING:
+    from array import array
+
     import numpy as np
 
 MAX_GRAPH_VERTICES = 10
@@ -83,6 +96,11 @@ _HOLD_ONE_N = EXHAUSTIVE_CAP_LIMIT
 """From this n on one array is 256 MiB or more, so each array cache
 drops what it holds before it builds the next array: one count array
 and one selector are alive at a time.  Below it the caches keep theirs."""
+_SMALL_N = 6
+"""Up to this n a search and the reference counter run on Python ints
+and never load numpy.  At n = 6 (2^15 masks) a search takes about
+10 ms, less than importing numpy; at n = 7 each step of a lane
+transform over 2^21 masks takes longer than a whole numpy transform."""
 _REF_CHUNK = 32
 """Graphs per step of the reference counter; bounds its (graphs, n, 2^n)
 float64 states however many witnesses a search returns."""
@@ -255,6 +273,7 @@ def _inj_homs_explicit(comps: tuple[int, ...], graphs: list[SmallGraph]) -> list
     runs in BLAS; that is exact, because every entry, every partial sum of
     the product and every total is a count of placements, at most
     n!/(n-m)! <= 10! < 2^53, and float64 holds every integer below 2^53.
+    Up to _SMALL_N the same DP runs per graph on a dict of Python ints.
     """
     if not graphs:
         return []
@@ -264,6 +283,24 @@ def _inj_homs_explicit(comps: tuple[int, ...], graphs: list[SmallGraph]) -> list
     flags = back_edge_flags(comps)
     if len(flags) > n:  # no injective placement; skips a layer per vertex
         return [0] * len(graphs)
+    if n <= _SMALL_N:
+        # per graph, the layers keyed by (the last vertex if the next one
+        # must be adjacent to it, else -1; the used vertex set)
+        counts = []
+        for g in graphs:
+            layer = {(-1, 0): 1}
+            for keep_prev in (flags + (False,))[1:]:
+                nxt: dict[tuple[int, int], int] = {}
+                for (prev, used), ways in layer.items():
+                    cand = (g.adj[prev] if prev >= 0 else (1 << n) - 1) & ~used
+                    while cand:
+                        vbit = cand & -cand
+                        cand ^= vbit
+                        key = (vbit.bit_length() - 1 if keep_prev else -1, used | vbit)
+                        nxt[key] = nxt.get(key, 0) + ways
+                layer = nxt
+            counts.append(sum(layer.values()))
+        return counts
     import numpy as np
 
     vbits, prior, holds = _ref_tables(n)
@@ -393,6 +430,13 @@ def _seeded_zeta(seeds: np.ndarray, values, nbits: int, dtype, op) -> np.ndarray
     return a
 
 
+def _clique_masks(n: int, r: int) -> list[int]:
+    """The edge masks of the r-cliques on n vertices, ascending."""
+    eidx = _edge_index(n)
+    return sorted(sum(1 << eidx[p] for p in combinations(group, 2))
+                  for group in combinations(range(n), r))
+
+
 @lru_cache(maxsize=8)
 def _clique_free_selector(n: int, r: int) -> np.ndarray:
     """Boolean array over all edge masks: True iff the graph has no K_r.
@@ -404,11 +448,8 @@ def _clique_free_selector(n: int, r: int) -> np.ndarray:
 
     if n >= _HOLD_ONE_N:
         _drop_selectors()
-    eidx = _edge_index(n)
-    cliques = sorted(sum(1 << eidx[p] for p in combinations(group, 2))
-                     for group in combinations(range(n), r))
-    sel = _seeded_zeta(np.array(cliques, dtype=np.int64), True, n * (n - 1) // 2,
-                       bool, np.logical_or)
+    sel = _seeded_zeta(np.array(_clique_masks(n, r), dtype=np.int64), True,
+                       n * (n - 1) // 2, bool, np.logical_or)
     np.logical_not(sel, out=sel)
     sel.setflags(write=False)
     return sel
@@ -518,13 +559,62 @@ def _scan(counts: np.ndarray, ok: np.ndarray, witness_cap: int) -> tuple[int, tu
     return best, tuple(ties)
 
 
+def _lane_sums(seeds, nbits: int) -> array:
+    """Subset sums over the nbits-bit masks of the (mask, value) seeds,
+    one 'H' entry per mask; every sum must stay below 2^16.
+
+    The sums run on 16-bit lanes of one int, lane S for mask S: bit t
+    adds each lane with bit t clear, picked by runs of 2^t lanes, to the
+    lane 2^t above it, in one shift of 16 << t bits.  A lane below 2^16
+    never carries into the next."""
+    from array import array
+
+    lanes = bytearray(2 << nbits)
+    for mask, value in seeds:
+        lanes[2 * mask:2 * mask + 2] = value.to_bytes(2, "little")
+    x = int.from_bytes(lanes, "little")
+    for t in range(nbits):
+        run = 2 << t  # the bytes of 2^t lanes
+        low = int.from_bytes((b"\xff" * run + bytes(run)) * (1 << nbits - t - 1), "little")
+        x += (x & low) << (16 << t)
+    sums = array("H", x.to_bytes(2 << nbits, "little"))
+    if sys.byteorder == "big":
+        sums.byteswap()
+    return sums
+
+
 @lru_cache(maxsize=256)
 def _core_search(n: int, core: tuple[int, ...], k: int,
                  witness_cap: int) -> tuple[int, tuple[int, ...]]:
     """Best injective homomorphism count of the edge core over the
     K_{k+1}-free graphs on n labeled vertices, and the first witness_cap
     masks that reach it.  Holds no array, so caching it is cheap: every
-    forest with this core reuses the scan."""
+    forest with this core reuses the scan.
+
+    Up to _SMALL_N the placement histogram and the clique masks go
+    through ``_lane_sums`` instead, with the same results.  No sum
+    reaches 2^16: a count is at most perm(n, n) placements and a clique
+    count at most C(n, n // 2), 720 and 20 at n = 6."""
+    # the pre-flight runs here, so a search whose core is cached reads
+    # no /proc/meminfo
+    need = _peak_bytes(n)
+    avail = _mem_available()
+    if avail is not None and need > avail:
+        raise ValueError(f"n={n} needs about {need >> 20} MiB of arrays, "
+                         f"only {avail >> 20} MiB available")
+    if n <= _SMALL_N:
+        eidx = _edge_index(n)
+        back = [pos for pos, flag in enumerate(back_edge_flags(core)) if flag]
+        hist = Counter(sum(1 << eidx[p[pos - 1], p[pos]] for pos in back)
+                       for p in permutations(range(n), sum(core)))
+        nbits = n * (n - 1) // 2
+        counts = _lane_sums(hist.items(), nbits)
+        # a mask is K_{k+1}-free when no clique lies inside it
+        cliques = _lane_sums([(c, 1) for c in _clique_masks(n, k + 1)], nbits)
+        best = max((c for c, q in zip(counts, cliques) if not q), default=0)
+        ties = (mask for mask, (c, q) in enumerate(zip(counts, cliques))
+                if c == best and not q)
+        return best, tuple(islice(ties, witness_cap))
     # counts first: the first numpy import lands in the counting stage
     counts = _inj_counts_all_graphs(n, core)
     return _scan(counts, _clique_free_selector(n, k + 1), witness_cap)
@@ -543,7 +633,12 @@ def _mem_available() -> int | None:
 
 
 def _peak_bytes(n: int) -> int:
-    """Upper estimate of the array bytes one search allocates."""
+    """Upper estimate of the array bytes one search allocates.
+
+    Up to _SMALL_N the same sum covers the lane path, which holds about
+    six 2-byte lanes a mask at its peak (the count lanes, the int under
+    transform, its lane mask and three temporaries): 0.44 MB under
+    tracemalloc at n = 6, against an estimate of 1.05 MB."""
     size = 1 << (n * (n - 1) // 2)
     shard = min(size, _SHARD_SIZE)
     # uint16 core counts, bool selector inverted in place; then the scan's
@@ -585,11 +680,6 @@ def extremal_search(forest: LinearForest, n: int, k: int, *,
         raise ValueError(f"n={n} outside [0, {cap}]; refusing unbounded scan")
     if witness_cap < 0:
         raise ValueError("witness cap must be >= 0")
-    need = _peak_bytes(n)
-    avail = _mem_available()
-    if avail is not None and need > avail:
-        raise ValueError(f"n={n} needs about {need >> 20} MiB of arrays, "
-                         f"only {avail >> 20} MiB available")
 
     # isolated vertices scale every count by one positive factor, which
     # keeps the order and the ties.  A forest with more than n vertices

@@ -380,9 +380,11 @@ class TestLeanEngine:
 
     @pytest.mark.parametrize("shard_bits", [10, 18])
     def test_scan_witnesses_are_first_ties(self, monkeypatch, shard_bits):
-        # a cached result would skip the scan at this shard size
+        # a cached result would skip the scan at this shard size, and the
+        # lane path at n = 6 has no shards
         oracle._core_search.cache_clear()
         monkeypatch.setattr(oracle, "_SHARD_SIZE", 1 << shard_bits)
+        monkeypatch.setattr(oracle, "_SMALL_N", -1)
         n = 6
         for comps, k, cap in [((1,), 2, 10), ((3,), 2, 3), ((2, 2), 3, 10),
                               ((4, 1), 2, 0), ((2,), 4, 50)]:
@@ -407,6 +409,20 @@ class TestLeanEngine:
         assert extremal_search(LinearForest((3,)), 6, 2).max_count == 18
         monkeypatch.setattr(oracle, "_mem_available", lambda: None)
         assert extremal_search(LinearForest((3,)), 6, 2).max_count == 18
+
+    def test_preflight_only_on_cache_misses(self, monkeypatch):
+        # a search whose core result is cached builds no array: it does
+        # not read the available memory again
+        reads = []
+        monkeypatch.setattr(oracle, "_mem_available", lambda: reads.append(1))
+        clear_engine_caches()
+        for n in (5, 7):  # either side of _SMALL_N
+            extremal_search(LinearForest((3,)), n, 2)
+            assert len(reads) == 1
+            for comps in [(3,), (3, 1), (1, 3, 1)]:
+                extremal_search(LinearForest(comps), n, 2)
+            assert len(reads) == 1
+            reads.clear()
 
     def test_peak_estimate_covers_core_array(self):
         assert oracle._peak_bytes(8) >= 3 * (1 << 28)
@@ -509,6 +525,19 @@ class TestSeededEngine:
                 got = _seeded_zeta(np.array(seeds, dtype=np.int64), vals, nbits, dtype, op)
             assert got.dtype == dtype
             assert np.array_equal(got, dense)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_lane_sums_match_dense(self, data):
+        # at most 40 seeds of at most 1638: no sum reaches 2^16
+        nbits = data.draw(st.integers(0, 12), label="nbits")
+        seeds = data.draw(st.dictionaries(st.integers(0, (1 << nbits) - 1),
+                                          st.integers(0, 0xFFFF // 40), max_size=40),
+                          label="seeds")
+        dense = np.zeros(1 << nbits, dtype=np.int64)
+        dense[list(seeds)] = list(seeds.values())
+        _zeta(dense, nbits, np.add)
+        assert oracle._lane_sums(seeds.items(), nbits).tolist() == dense.tolist()
 
     def test_histogram_matches_recursion(self):
         for n in range(0, 7):
@@ -634,6 +663,64 @@ class TestCoreSearchCache:
         assert oracle._core_search.cache_info().hits > 0
 
 
+class TestLanePath:
+    """Up to oracle._SMALL_N the search and the reference counter run on
+    Python ints; with _SMALL_N patched to -1 the numpy path runs, and
+    both must give the same results."""
+
+    # every edge core on at most 6 vertices; below n = 6 some are larger
+    # than n and have no placement
+    CORES = [()] + [c for c in all_forests(6) if min(c) >= 2]
+
+    def test_core_search_matches_numpy(self, monkeypatch):
+        search = oracle._core_search.__wrapped__
+        specs = [(n, core, k, cap) for n in range(7) for core in self.CORES
+                 for k in range(6) for cap in (0, 1, 10)]
+        lanes = [search(*spec) for spec in specs]
+        monkeypatch.setattr(oracle, "_SMALL_N", -1)
+        for spec, got in zip(specs, lanes):
+            assert got == search(*spec), spec
+        # k = 0 selects nothing, as a K_1-free graph has no vertex; k = 1
+        # selects only the edgeless graph
+        assert lanes[specs.index((6, (2,), 0, 10))] == (0, ())
+        assert lanes[specs.index((6, (2,), 1, 10))] == (0, (0,))
+
+    def test_reference_matches_numpy_batch(self, monkeypatch):
+        rng = random.Random(31)
+        batches = [(comps, random_graphs(rng, n, 6))
+                   for n in range(7) for comps in [()] + all_forests(6)]
+        lanes = [oracle._inj_homs_explicit(comps, graphs) for comps, graphs in batches]
+        monkeypatch.setattr(oracle, "_SMALL_N", -1)
+        for (comps, graphs), got in zip(batches, lanes):
+            assert got == oracle._inj_homs_explicit(comps, graphs), (comps, graphs[0].n)
+
+    @pytest.mark.parametrize("edgeless_turan", [False, True])
+    def test_cli_output_matches_numpy(self, monkeypatch, capsys, edgeless_turan):
+        from turangood.cli import FORMATS, run
+        if edgeless_turan:
+            # against a one-part host every forest with an edge and at most
+            # n vertices is a counterexample, reported with its witnesses
+            monkeypatch.setattr(oracle, "turan_parts", lambda n, k: (n,))
+        argvs = [["--forest", "3", "--n", "0..6", "--k", "2"],
+                 ["--forest", "2,2", "--n", "5..6", "--k", "1..3"],
+                 ["--forest", "4,3", "--n", "5..6", "--k", "2"],
+                 ["--forest", "3,1,1", "--n", "6", "--k", "3", "--witnesses", "3"]]
+
+        def outputs():
+            oracle._core_search.cache_clear()
+            got = []
+            for argv in argvs:
+                for fmt in FORMATS:
+                    code = run(["verify", "conjecture", *argv, "--format", fmt])
+                    got.append((code, capsys.readouterr().out))
+            return got
+
+        lanes = outputs()
+        monkeypatch.setattr(oracle, "_SMALL_N", -1)
+        assert outputs() == lanes
+        assert {code for code, _ in lanes} == ({0, 1} if edgeless_turan else {0})
+
+
 class TestExtremalSearch:
     def test_single_edge_n5(self):
         r = extremal_search(LinearForest((2,)), 5, 2)
@@ -710,18 +797,19 @@ class TestExtremalSearch:
                     assert extremal_search(forest, n, k).max_count == best, (forest, n, k)
 
 
+@pytest.mark.parametrize("n", [4, 7])  # either side of oracle._SMALL_N
 class TestSelfCheck:
     """A scan that disagrees with the reference counter or the clique
     search is an engine defect: the search raises, and ``verify
-    conjecture`` exits 3 without a traceback.  One edge at n = 4, k = 2:
-    the maximum is 8 injective maps, on the three labeled 4-cycles."""
-
-    ARGV = ["verify", "conjecture", "--forest", "2", "--n", "4", "--k", "2"]
+    conjecture`` exits 3 without a traceback.  One edge at k = 2: the
+    maximum is 2 * floor(n^2 / 4) injective maps, on the labeled
+    complete bipartite graphs with balanced parts (at n = 4 the three
+    4-cycles)."""
 
     @staticmethod
-    def faulty_scans():
-        best, masks = oracle._core_search(4, (2,), 2, WITNESS_CAP_DEFAULT)
-        assert best == 8 and masks
+    def faulty_scans(n):
+        best, masks = oracle._core_search(n, (2,), 2, WITNESS_CAP_DEFAULT)
+        assert best == 2 * (n * n // 4) and masks
         return [
             # a wrong maximum (even, as every count of one edge is): the
             # first witness does not reach it
@@ -732,14 +820,15 @@ class TestSelfCheck:
             ((0, (0,)), "scan missed the Turan graph; engine defect"),
         ]
 
-    def test_faulty_scans_raise_in_order(self, monkeypatch, capsys):
+    def test_faulty_scans_raise_in_order(self, monkeypatch, capsys, n):
         from turangood.cli import run
-        for scan, message in self.faulty_scans():
+        argv = ["verify", "conjecture", "--forest", "2", "--n", str(n), "--k", "2"]
+        for scan, message in self.faulty_scans(n):
             with monkeypatch.context() as mp:
                 mp.setattr(oracle, "_core_search", lambda n, core, k, cap, scan=scan: scan)
                 with pytest.raises(RuntimeError, match=message):
-                    extremal_search(LinearForest((2,)), 4, 2)
-                assert run(self.ARGV) == 3
+                    extremal_search(LinearForest((2,)), n, 2)
+                assert run(argv) == 3
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"turangood: internal error: RuntimeError: {message}\n"

@@ -1,8 +1,8 @@
 """Checks that need a fresh interpreter: the ``python -m`` entry points,
 which modules start-up loads (numpy belongs to the exhaustive array
-engine alone, so only ``verify conjecture`` may import it; fractions to
-the two ratio verifiers), the benchmark's tracer, and how many count
-arrays a process keeps."""
+engine alone, so only ``verify conjecture`` from n = 7 on may import
+it; fractions to the two ratio verifiers), the benchmark's tracer, and
+how many count arrays a process keeps."""
 
 import json
 import os
@@ -113,6 +113,7 @@ class TestStartupImports:
         ["verify", "odd-identity", "--forest", "5,3", "--n", "8..10"],
         ["verify", "even-identity", "--forest", "4,2"],
         ["verify", "isolated-identity", "--forest", "3,1", "--n", "4..6"],
+        ["verify", "conjecture", "--forest", "3,2", "--n", "5..6", "--k", "2..3"],
     ], ids=lambda argv: " ".join(argv[:2]))
     def test_commands_without_arrays_leave_numpy_unloaded(self, argv):
         loaded = set().union(*modules_added(argv))
@@ -122,12 +123,12 @@ class TestStartupImports:
             assert "fractions" not in loaded
 
     def test_conjecture_loads_numpy(self):
-        argv = ["verify", "conjecture", "--forest", "3", "--n", "5", "--k", "2"]
+        argv = ["verify", "conjecture", "--forest", "3", "--n", "7", "--k", "2"]
         assert "numpy" in modules_added(argv)[1]
 
     def test_conjecture_leaves_numpy_ma_unloaded(self):
         # a plain np.unique imports numpy.ma on numpy 2.4
-        argv = ["verify", "conjecture", "--forest", "3,2", "--n", "6", "--k", "2..3"]
+        argv = ["verify", "conjecture", "--forest", "3,2", "--n", "7", "--k", "2..3"]
         loaded = modules_added(argv)[1]
         assert "numpy" in loaded
         assert "numpy.ma" not in loaded
@@ -138,7 +139,8 @@ class TestTracedRuns:
     CLI must print the same bytes with them in place."""
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "conjecture", "--forest", "3,1", "--n", "6", "--k", "2..3"],
+        # n = 6 runs on lanes, n = 7 on the traced array stages
+        ["verify", "conjecture", "--forest", "3,1", "--n", "6..7", "--k", "2..3"],
         ["verify", "multipartite-max", "--forest", "3,2", "--n", "8", "--k", "3"],
     ], ids=lambda argv: argv[1])
     def test_tracer_keeps_output(self, argv):
@@ -203,16 +205,17 @@ def test_one_array_of_each_kind_while_holding_one():
                             for c, k in specs]
 
 
-def test_self_check_holds_under_optimize():
+@pytest.mark.parametrize("n", [4, 7])  # either side of oracle._SMALL_N
+def test_self_check_holds_under_optimize(n):
     # the engine's self-check raises, not asserts: under python -O a scan
     # whose maximum the reference counter does not confirm still exits 3
     code = ("import sys\n"
             "from turangood import oracle\n"
             "from turangood.cli import run\n"
-            "best, masks = oracle._core_search(4, (2,), 2, 10)\n"
+            f"best, masks = oracle._core_search({n}, (2,), 2, 10)\n"
             "oracle._core_search = lambda n, core, k, cap: (best + 2, masks)\n"
             "print(masks[0], flush=True)\n"
-            "sys.exit(run(['verify', 'conjecture', '--forest', '2', '--n', '4', '--k', '2']))\n")
+            f"sys.exit(run(['verify', 'conjecture', '--forest', '2', '--n', '{n}', '--k', '2']))\n")
     proc = python("-O", "-c", code)
     mask = int(proc.stdout)
     assert proc.returncode == 3, proc.stderr.decode()

@@ -50,16 +50,16 @@ uncached: one call of the reference counter counts the Turan graph and
 every witness it returns, and the clique search checks every witness.
 
 Up to n = _SMALL_N = 6, where an array has at most 2^15 entries and
-importing numpy costs more than the whole search, neither the search
-nor the reference counter uses numpy.  The search keeps the same steps
-on Python ints: the placement histogram is a Counter, and each
-transform runs on 16-bit lanes of one int, one lane per edge mask, with
-a mask K_{k+1}-free when the transform of the clique masks leaves its
-lane 0.  The reference counter runs the same layer DP per graph, as a
-dict.  Only the array stages and the reference counter from n = 7 on
-use numpy, and they import it when they first run, so importing the
-package, every command but ``verify conjecture``, and ``verify
-conjecture`` up to n = 6 never load it.
+importing numpy costs more than the whole search, the search does not
+use numpy.  It keeps the same steps on Python ints: the placement
+histogram is a Counter, and each transform runs on 16-bit lanes of one
+int, one lane per edge mask, with a mask K_{k+1}-free when the
+transform of the clique masks leaves its lane 0.  The reference counter
+never uses numpy: at every n it runs its layer DP per graph on 24-bit
+lanes of Python ints, one lane per vertex set.  Only the array stages
+from n = 7 on use numpy, and they import it when they first run, so
+importing the package, every command but ``verify conjecture``, and
+``verify conjecture`` up to n = 6 never load it.
 """
 
 from __future__ import annotations
@@ -97,13 +97,13 @@ _HOLD_ONE_N = EXHAUSTIVE_CAP_LIMIT
 drops what it holds before it builds the next array: one count array
 and one selector are alive at a time.  Below it the caches keep theirs."""
 _SMALL_N = 6
-"""Up to this n a search and the reference counter run on Python ints
-and never load numpy.  At n = 6 (2^15 masks) a search takes about
-10 ms, less than importing numpy; at n = 7 each step of a lane
-transform over 2^21 masks takes longer than a whole numpy transform."""
-_REF_CHUNK = 32
-"""Graphs per step of the reference counter; bounds its (graphs, n, 2^n)
-float64 states however many witnesses a search returns."""
+"""Up to this n a search runs on Python ints and never loads numpy.  At
+n = 6 (2^15 masks) a search takes about 10 ms, less than importing
+numpy; at n = 7 each step of a lane transform over 2^21 masks takes
+longer than a whole numpy transform."""
+_LANE = 24
+"""Bits per vertex-set lane of the reference counter: every count it
+meets is at most perm(10, 10) = 3628800, below 2^24 - 1."""
 
 
 @lru_cache(maxsize=None)
@@ -243,19 +243,21 @@ def explicit_multipartite(parts: PartsLike) -> SmallGraph:
 
 
 @lru_cache(maxsize=None)
-def _ref_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index tables of the reference counter on n vertices: the vertices
-    as a column, S ^ bit(v) and whether v is in S, each of shape (n, 2^n)
-    but the first."""
-    import numpy as np
+def _members(mask: int) -> tuple[int, ...]:
+    """The vertices of a vertex bitmask, ascending.  Adjacency rows are
+    below 2^MAX_GRAPH_VERTICES, so the cache holds at most 1,024 tuples."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
-    sets = np.arange(1 << n)
-    vbits = np.arange(n)[:, None]
-    prior = sets ^ (1 << vbits)
-    holds = (sets >> vbits & 1).astype(np.float64)
-    for table in (vbits, prior, holds):
-        table.setflags(write=False)
-    return vbits, prior, holds
+
+@lru_cache(maxsize=None)
+def _without(n: int) -> tuple[int, ...]:
+    """Per vertex v, the int on 2^n lanes whose lane S is all ones where
+    the vertex set S lacks v and 0 where it holds v: alternate runs of
+    2^v lanes, the first all ones."""
+    width = _LANE // 8
+    return tuple(int.from_bytes((b"\xff" * (width << v) + bytes(width << v))
+                                * (1 << n - v - 1), "little")
+                 for v in range(n))
 
 
 def _inj_homs_explicit(comps: tuple[int, ...], graphs: list[SmallGraph]) -> list[int]:
@@ -263,17 +265,16 @@ def _inj_homs_explicit(comps: tuple[int, ...], graphs: list[SmallGraph]) -> list
     into each graph, all graphs on one vertex count n.
 
     A layer DP over the forest's vertices, the components laid down in
-    order: cur[w, v, S] is the number of placements of the vertices so far
-    into graph w that use the vertex set S and end at vertex v.  A vertex
-    that must be adjacent to the one before comes from adj @ cur (the
-    adjacency is symmetric), the first vertex of a component from cur
-    summed over v; either way placing v makes S from S ^ bit(v), so one
-    gather at S ^ bit(v) and a mask of the S that hold v finish the step.
-    Graphs run _REF_CHUNK at a time.  The states are float64, so adj @ cur
-    runs in BLAS; that is exact, because every entry, every partial sum of
-    the product and every total is a count of placements, at most
-    n!/(n-m)! <= 10! < 2^53, and float64 holds every integer below 2^53.
-    Up to _SMALL_N the same DP runs per graph on a dict of Python ints.
+    order, per graph on Python ints: cur[v] holds one _LANE-bit lane per
+    vertex set S, the number of placements of the vertices so far that
+    use S and end at vertex v.  A vertex that must be adjacent to the one
+    before sums cur over v's neighbours, the first vertex of a component
+    sums all of cur; either way the lanes of the S that lack v are kept
+    and moved up to lane S + 2^v.  The count is the sum of the last
+    layer's lanes: its total modulo 2^_LANE - 1, as 2^_LANE is 1 modulo
+    it.  Every lane and every total counts placements, at most
+    n!/(n-m)! <= 10!, below 2^_LANE - 1: no lane carries into the next
+    and the modulus is exact.
     """
     if not graphs:
         return []
@@ -283,41 +284,25 @@ def _inj_homs_explicit(comps: tuple[int, ...], graphs: list[SmallGraph]) -> list
     flags = back_edge_flags(comps)
     if len(flags) > n:  # no injective placement; skips a layer per vertex
         return [0] * len(graphs)
-    if n <= _SMALL_N:
-        # per graph, the layers keyed by (the last vertex if the next one
-        # must be adjacent to it, else -1; the used vertex set)
-        counts = []
-        for g in graphs:
-            layer = {(-1, 0): 1}
-            for keep_prev in (flags + (False,))[1:]:
-                nxt: dict[tuple[int, int], int] = {}
-                for (prev, used), ways in layer.items():
-                    cand = (g.adj[prev] if prev >= 0 else (1 << n) - 1) & ~used
-                    while cand:
-                        vbit = cand & -cand
-                        cand ^= vbit
-                        key = (vbit.bit_length() - 1 if keep_prev else -1, used | vbit)
-                        nxt[key] = nxt.get(key, 0) + ways
-                layer = nxt
-            counts.append(sum(layer.values()))
-        return counts
-    import numpy as np
-
-    vbits, prior, holds = _ref_tables(n)
+    without = _without(n)
+    shifts = [_LANE << v for v in range(n)]
     counts = []
-    for lo in range(0, len(graphs), _REF_CHUNK):
-        rows = np.array([g.adj for g in graphs[lo:lo + _REF_CHUNK]], dtype=np.int64)
-        adj = (rows.reshape(len(rows), n, 1) >> vbits.T & 1).astype(np.float64)
-        # before the first vertex: one empty placement, S = {}
-        cur = np.zeros((len(rows), 1, 1 << n))
-        cur[:, 0, 0] = 1
+    for g in graphs:
+        nbrs = [_members(row) for row in g.adj]
+        cur = [1]  # before the first vertex: one empty placement, S = {}
         for back in flags:
             if back:
-                cur = (adj @ cur)[:, vbits, prior]
+                nxt = []
+                for nb, w, shift in zip(nbrs, without, shifts):
+                    total = 0
+                    for u in nb:
+                        total += cur[u]
+                    nxt.append((total & w) << shift)
+                cur = nxt
             else:
-                cur = cur.sum(axis=1)[:, prior]
-            cur *= holds
-        counts.extend(int(c) for c in cur.sum(axis=(1, 2)).tolist())
+                total = sum(cur)
+                cur = [(total & w) << shift for w, shift in zip(without, shifts)]
+        counts.append(sum(cur) % ((1 << _LANE) - 1))
     return counts
 
 
@@ -609,6 +594,9 @@ def _core_search(n: int, core: tuple[int, ...], k: int,
                        for p in permutations(range(n), sum(core)))
         nbits = n * (n - 1) // 2
         counts = _lane_sums(hist.items(), nbits)
+        # as in _core_counts: the full mask holds every placement
+        if counts[-1] != perm(n, sum(core)):
+            raise RuntimeError("subset-sum transform integrity check failed")
         # a mask is K_{k+1}-free when no clique lies inside it
         cliques = _lane_sums([(c, 1) for c in _clique_masks(n, k + 1)], nbits)
         best = max((c for c, q in zip(counts, cliques) if not q), default=0)
@@ -633,12 +621,13 @@ def _mem_available() -> int | None:
 
 
 def _peak_bytes(n: int) -> int:
-    """Upper estimate of the array bytes one search allocates.
+    """Upper estimate of the bytes one search allocates: its arrays and
+    the reference counter's ints.
 
     Up to _SMALL_N the same sum covers the lane path, which holds about
     six 2-byte lanes a mask at its peak (the count lanes, the int under
     transform, its lane mask and three temporaries): 0.44 MB under
-    tracemalloc at n = 6, against an estimate of 1.05 MB."""
+    tracemalloc at n = 6, against an estimate of 0.71 MB."""
     size = 1 << (n * (n - 1) // 2)
     shard = min(size, _SHARD_SIZE)
     # uint16 core counts, bool selector inverted in place; then the scan's
@@ -652,12 +641,13 @@ def _peak_bytes(n: int) -> int:
 
 
 def _ref_peak_bytes(n: int) -> int:
-    """Upper estimate of the array bytes the reference counter allocates
-    on n-vertex graphs, however many: one chunk's three float64 (graphs,
-    n, 2^n) state arrays (the last, the product or sum, the gathered next;
-    8 bytes an entry, as int64 would be) and room for one more, four
-    (n, 2^n) index tables and temporaries, and the adjacency twice."""
-    return (4 * _REF_CHUNK + 4) * (n * 8 << n) + _REF_CHUNK * n * n * 16
+    """Upper estimate of the bytes the reference counter allocates on
+    n-vertex graphs: 3n + 8 ints of 2^n lanes (the ``_without`` cache,
+    the last layer, the next one and temporaries), each at most 4 bytes a
+    lane (24 bits in 30-bit digits) and a header; the ``_members`` cache,
+    at most 2^n tuples of about 140 bytes; and 64 KiB for the counts of a
+    batch of up to 1,000 graphs, about 50 bytes a graph."""
+    return (3 * n + 8) * ((4 << n) + 32) + (160 << n) + (64 << 10)
 
 
 def extremal_search(forest: LinearForest, n: int, k: int, *,

@@ -198,12 +198,12 @@ class TestReferenceBatch:
         with pytest.raises(ValueError, match="vertex count"):
             oracle._inj_homs_explicit((2,), graphs + random_graphs(rng, 4, 1))
 
-    def test_exact_at_the_float64_bound(self):
-        # the states are float64: every count the counter can meet is at
-        # most perm(MAX_GRAPH_VERTICES, MAX_GRAPH_VERTICES) and must stay
-        # below 2^53, the first integer float64 cannot follow by one
+    def test_exact_at_the_lane_bound(self):
+        # every lane and every total the counter can meet is at most
+        # perm(MAX_GRAPH_VERTICES, MAX_GRAPH_VERTICES): it must stay below
+        # 2^_LANE - 1, so no lane carries and the final modulus is exact
         top = MAX_GRAPH_VERTICES
-        assert perm(top, top) < 2 ** 53
+        assert perm(top, top) < 2 ** oracle._LANE - 1
         k10 = explicit_multipartite((1,) * top)
         no_edge = SmallGraph.from_edges(top, [e for e in k10.edges() if e != (0, 1)])
         got = oracle._inj_homs_explicit((top,), [k10, no_edge])
@@ -213,11 +213,14 @@ class TestReferenceBatch:
         assert oracle._inj_homs_explicit((1,) * top, [k10]) == [perm(top, top)]
         assert oracle._inj_homs_explicit((2,) * 5, [k10]) == [perm(top, top)]
 
-    @pytest.mark.parametrize("n", [5, 8])
+    @pytest.mark.parametrize("n", [5, 8, 10])
     def test_chunks_bound_the_arrays(self, n):
-        # 500 graphs at once; paths and matchings keep every layer full
+        # 500 graphs at once; paths and matchings keep every layer full.
+        # From cold caches, so the lane masks and vertex lists are counted
         graphs = random_graphs(random.Random(n), n, 500)
         for comps in [(n,), (2,) * (n // 2)]:
+            oracle._without.cache_clear()
+            oracle._members.cache_clear()
             tracemalloc.start()
             try:
                 oracle._inj_homs_explicit(comps, graphs)
@@ -227,19 +230,21 @@ class TestReferenceBatch:
             assert peak <= oracle._ref_peak_bytes(n), (n, comps, peak)
 
     @pytest.mark.parametrize("chunk", [1, 2, 3])
-    def test_batch_order_and_chunks_do_not_matter(self, monkeypatch, chunk):
+    def test_batch_order_and_chunks_do_not_matter(self, chunk):
+        # a batch counts each graph as alone, in any order, and as the
+        # batches of `chunk` graphs it splits into
         rng = random.Random(chunk)
         for n in (4, 6, 7):
             graphs = random_graphs(rng, n, 10)
             for comps in [(2,), (3, 1), (2, 2), (4,), (1, 1)]:
                 alone = [count_injective_homs_explicit(LinearForest(comps), g) for g in graphs]
                 assert oracle._inj_homs_explicit(comps, graphs) == alone
+                split = [c for lo in range(0, len(graphs), chunk)
+                         for c in oracle._inj_homs_explicit(comps, graphs[lo:lo + chunk])]
+                assert split == alone
                 order = list(range(len(graphs)))
                 rng.shuffle(order)
-                with monkeypatch.context() as mp:
-                    mp.setattr(oracle, "_REF_CHUNK", chunk)
-                    assert oracle._inj_homs_explicit(comps, graphs) == alone
-                    shuffled = oracle._inj_homs_explicit(comps, [graphs[i] for i in order])
+                shuffled = oracle._inj_homs_explicit(comps, [graphs[i] for i in order])
                 assert shuffled == [alone[i] for i in order]
 
 
@@ -664,9 +669,9 @@ class TestCoreSearchCache:
 
 
 class TestLanePath:
-    """Up to oracle._SMALL_N the search and the reference counter run on
-    Python ints; with _SMALL_N patched to -1 the numpy path runs, and
-    both must give the same results."""
+    """Up to oracle._SMALL_N the search runs on Python ints; with _SMALL_N
+    patched to -1 the numpy path runs, and both must give the same
+    results."""
 
     # every edge core on at most 6 vertices; below n = 6 some are larger
     # than n and have no placement
@@ -685,14 +690,27 @@ class TestLanePath:
         assert lanes[specs.index((6, (2,), 0, 10))] == (0, ())
         assert lanes[specs.index((6, (2,), 1, 10))] == (0, (0,))
 
-    def test_reference_matches_numpy_batch(self, monkeypatch):
-        rng = random.Random(31)
-        batches = [(comps, random_graphs(rng, n, 6))
-                   for n in range(7) for comps in [()] + all_forests(6)]
-        lanes = [oracle._inj_homs_explicit(comps, graphs) for comps, graphs in batches]
-        monkeypatch.setattr(oracle, "_SMALL_N", -1)
-        for (comps, graphs), got in zip(batches, lanes):
-            assert got == oracle._inj_homs_explicit(comps, graphs), (comps, graphs[0].n)
+    def test_integrity_check(self, monkeypatch, capsys):
+        # a transform that miscounts the placements at the full mask is an
+        # engine defect, as on the numpy path: the search raises and
+        # ``verify conjecture`` exits 3 without a traceback
+        from turangood.cli import run
+        lane_sums = oracle._lane_sums
+
+        def corrupt(seeds, nbits):
+            sums = lane_sums(seeds, nbits)
+            sums[-1] += 1
+            return sums
+
+        monkeypatch.setattr(oracle, "_lane_sums", corrupt)
+        oracle._core_search.cache_clear()
+        message = "subset-sum transform integrity check failed"
+        with pytest.raises(RuntimeError, match=message):
+            extremal_search(LinearForest((3,)), 5, 2)
+        assert run(["verify", "conjecture", "--forest", "3", "--n", "5", "--k", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"turangood: internal error: RuntimeError: {message}\n"
 
     @pytest.mark.parametrize("edgeless_turan", [False, True])
     def test_cli_output_matches_numpy(self, monkeypatch, capsys, edgeless_turan):

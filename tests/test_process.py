@@ -122,6 +122,22 @@ class TestStartupImports:
         if argv[1] not in ("odd-identity", "even-identity"):
             assert "fractions" not in loaded
 
+    def test_reference_counter_leaves_numpy_unloaded(self):
+        # the reference counter runs on Python ints at every n, also
+        # where the exhaustive engine would load numpy
+        code = ("import sys\n"
+                "from turangood import (LinearForest, count_copies, count_copies_explicit,\n"
+                "                       explicit_multipartite)\n"
+                "for n in range(7, 11):\n"
+                "    for parts in [(n // 2, n - n // 2), (2, 2, n - 4)]:\n"
+                "        forest = LinearForest((4, 3))\n"
+                "        got = count_copies_explicit(forest, explicit_multipartite(parts))\n"
+                "        assert got == count_copies(forest, parts) > 0, (n, parts)\n"
+                "print('numpy' in sys.modules)\n")
+        proc = python("-c", code)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == b"False\n"
+
     def test_conjecture_loads_numpy(self):
         argv = ["verify", "conjecture", "--forest", "3", "--n", "7", "--k", "2"]
         assert "numpy" in modules_added(argv)[1]

@@ -14,20 +14,27 @@ the host vertices the core leaves free (``forest.edge_core``, which also
 returns 0 at once when the forest has more than n vertices).
 
 Parts with the same number of free vertices are interchangeable, so a
-DP state is (position, the free capacities as a sorted multiset, the
-capacity of the part the next vertex may not use, or -1).  A move into
-capacity c weighs c times the number of parts with capacity c, less one
-when the forbidden part is among them.  The last two vertices have a
-closed form in the free capacities (see ``count_injective_homs``), so
-the deepest position holds no states and the one before it computes no
-moves.  A state's value depends only on the core, not on the host it
-was reached from, so the memo is kept per core and shared by every host
-counted for it and by every forest with that core (F and F - P1 share
-one): a sweep over many hosts fills in only the states no earlier host
-reached.  The memo holds the two most recently used cores, each with
-its back-edge flags.  Evaluation is iterative (a forward pass collects
-the new states layer by layer, a backward pass fills them in), so
-forests of any length count without recursion.
+DP state is (position, caps, marker): caps is the sorted multiset of free
+capacities, and the marker is the capacity of the part the next vertex
+may not use, or -1.  A move into a part of capacity c, held by r_c
+parts, has t_c = c * (count of the caps after the move); with
+U = sum of r_c * t_c, marker -1 counts U and marker f counts U - t_f.
+So the moves of a caps are built once for all its markers, and each
+marker costs one subtraction.  A caps whose only marker is f, held by
+one part, makes no move into f, so exactly the states a vertex-by-vertex
+search reaches are visited (about a + b for a path in K_{a,b}, not ab).
+The last two vertices have a closed form (see ``_fill``), so the deepest
+position holds no states and the one before it computes no moves.
+
+A state's value depends only on the core, so the memo is kept per core
+and shared by every host and every forest with that core (F and F - P1
+share one); it holds the two most recently used cores.  Each position
+maps caps -> count where a path starts (marker -1 only) and
+caps -> {marker: count} elsewhere.  ``count_injective_homs_many`` counts
+a batch of hosts on one n in one pass: a forward pass collects, layer by
+layer, the states the memo lacks, and a backward pass fills them in, so
+a state many hosts reach is counted once and paths of any length count
+without recursion.  ``count_injective_homs`` is a batch of one.
 
 Copy counts divide out the forest's automorphisms; the division is
 always exact.  All arithmetic uses Python's unbounded integers, so
@@ -121,9 +128,11 @@ _MEMO_CORES = 2
 forest and its shrunk forest, so two suffice; more only cost memory."""
 
 _memos: OrderedDict = OrderedDict()
-"""Edge core -> (its back-edge flags, one dict per position but the last:
-(caps, forbidden) -> count of ways to place the rest).  No lock guards
-it: the package runs the DP on one thread only."""
+"""Edge core -> (its back-edge flags, one dict per position but the last).
+A position whose vertex starts a path holds marker -1 only and maps
+caps -> count of ways to place the rest; any other position maps
+caps -> {marker: count}.  No lock guards it: the package runs the DP on
+one thread only."""
 
 
 def _core_memo(core: tuple[int, ...]) -> tuple[tuple[bool, ...], list[dict]]:
@@ -140,58 +149,60 @@ def _core_memo(core: tuple[int, ...]) -> tuple[tuple[bool, ...], list[dict]]:
     return entry
 
 
-def _moves(caps: tuple[int, ...], forbidden: int, bind: bool) -> list:
-    """(weight, next state) for each way to place one vertex.
-
-    The vertex goes into some part of capacity c: c vertices to choose
-    from in each of the parts with that capacity, less the forbidden
-    part.  The last part of capacity c drops to c - 1, which keeps caps
-    non-increasing; a part that fills up leaves the state.
-    """
-    out = []
-    i, k = 0, len(caps)
-    while i < k:
-        c = caps[i]
-        j = i + 1
-        while j < k and caps[j] == c:
-            j += 1
-        mult = j - i - (c == forbidden)
-        if mult:
-            nxt = caps[:j - 1] + (c - 1,) + caps[j:] if c > 1 else caps[:j - 1]
-            out.append((c * mult, (nxt, c - 1 if bind and c > 1 else -1)))
-        i = j
-    return out
+_UNMARKED = (-1,)
+"""The markers of a caps reached only with no part forbidden."""
 
 
-def count_injective_homs(forest: LinearForest, parts: PartsLike) -> int:
-    """Number of injective maps of the forest into the host that carry
-    every forest edge to a host edge (endpoints in distinct parts)."""
-    sizes = canonical_sizes(parts)
-    core, factor = edge_core(forest.components, sum(sizes))
-    if not core:
-        return factor
-    flags, memo = _core_memo(core)
-    root = (sizes, -1)
-    if root in memo[0]:
-        return factor * memo[0][root]
-    # forward: layer by layer, the states reachable from this host that
-    # are not in the memo yet, each with its moves; memo hits end a branch.
-    # The states of the last memo layer need no moves (see below).
+def _fill(flags: tuple[bool, ...], memo: list[dict], roots: Iterable) -> None:
+    """Enter every root (caps at position 0, marker -1) into the memo,
+    with each state it reaches that the memo does not hold yet."""
+    # forward: layer by layer, the new states grouped by caps, each caps
+    # with its new markers and its moves (c, parts of capacity c, caps
+    # after the last of them takes the vertex, the next marker); memo
+    # hits end a branch.  The last memo layer needs no moves (see below).
     last = len(memo) - 1
-    layers: list[dict] = []
-    todo = {root: None}
+    layers: list[list] = []
+    todo: dict = dict.fromkeys(roots, _UNMARKED)
     for pos in range(last):
         if not todo:
             break
-        layers.append(todo)
-        known = memo[pos + 1]
         bind = flags[pos + 1]
+        known = memo[pos + 1]
         nxt: dict = {}
-        for state in todo:
-            moves = todo[state] = _moves(*state, bind)
-            for _, succ in moves:
-                if succ not in known:
-                    nxt[succ] = None
+        layer = []
+        for caps, marks in todo.items():
+            only = marks[0] if len(marks) == 1 else None
+            moves = []
+            row = list(caps)
+            i, k = 0, len(caps)
+            while i < k:
+                c = caps[i]
+                j = i + 1
+                while j < k and caps[j] == c:
+                    j += 1
+                if j - i > 1 or c != only:
+                    if c > 1:
+                        row[j - 1] = c - 1
+                        succ = tuple(row)
+                        row[j - 1] = c
+                    else:
+                        succ = caps[:j - 1]
+                    if not bind:
+                        if succ not in known:
+                            nxt[succ] = _UNMARKED
+                        moves.append((c, j - i, succ, -1))
+                    else:
+                        mark = c - 1 if c > 1 else -1
+                        if mark not in known.get(succ, ()):
+                            marks_next = nxt.get(succ)
+                            if marks_next is None:
+                                nxt[succ] = [mark]
+                            elif mark not in marks_next:
+                                marks_next.append(mark)
+                        moves.append((c, j - i, succ, mark))
+                i = j
+            layer.append((caps, marks, moves))
+        layers.append(layer)
         todo = nxt
     # the last two vertices in closed form.  With s free host vertices and
     # f of them in the forbidden part (0 when there is none), the first
@@ -200,18 +211,63 @@ def count_injective_homs(forest: LinearForest, parts: PartsLike) -> int:
     # took.  Summed over parts: s(s - f) - (sum of c^2 - f^2).
     here = memo[last]
     bind = flags[last + 1]
-    for caps, forbidden in todo:
+    for caps, marks in todo.items():
         s = sum(caps)
-        f = forbidden if forbidden > 0 else 0
-        here[caps, forbidden] = (s * (s - f) - sum(c * c for c in caps) + f * f if bind
-                                 else (s - 1) * (s - f))
-    # backward: fill the other new states in, deepest layer first
-    for pos in range(len(layers) - 1, -1, -1):
-        below = memo[pos + 1]
-        here = memo[pos]
-        for state, moves in layers[pos].items():
-            here[state] = sum(w * below[succ] for w, succ in moves)
-    return factor * memo[0][root]
+        sq = sum(c * c for c in caps) if bind else 0
+        if not flags[last]:
+            here[caps] = s * s - sq if bind else (s - 1) * s
+            continue
+        vals = here.setdefault(caps, {})
+        for f in marks:
+            g = f if f > 0 else 0
+            vals[f] = s * (s - g) - sq + g * g if bind else (s - 1) * (s - g)
+    # backward, deepest layer first, each dropped once counted: marker -1
+    # counts U, marker f counts U - t_f, and a move left out for marker f
+    # leaves U as it is
+    while layers:
+        layer = layers.pop()
+        pos = len(layers)
+        below, here = memo[pos + 1], memo[pos]
+        bind, marked = flags[pos + 1], flags[pos]
+        for caps, marks, moves in layer:
+            u = 0
+            t = {}
+            for c, r, succ, mark in moves:
+                t[c] = v = c * (below[succ][mark] if bind else below[succ])
+                u += r * v
+            if not marked:
+                here[caps] = u
+                continue
+            vals = here.setdefault(caps, {})
+            for f in marks:
+                vals[f] = u - t.get(f, 0)
+
+
+def count_injective_homs_many(forest: LinearForest, hosts: Iterable[PartsLike]) -> list[int]:
+    """count_injective_homs for each host of a batch, in one pass: the
+    hosts must all have the same number of vertices, and a state that
+    several of them reach is counted once."""
+    batch = [canonical_sizes(h) for h in hosts]
+    if not batch:
+        return []
+    n = sum(batch[0])
+    if any(sum(sizes) != n for sizes in batch):
+        raise ValueError("the hosts of one batch must have the same number of vertices")
+    core, factor = edge_core(forest.components, n)
+    if not core:
+        return [factor] * len(batch)
+    flags, memo = _core_memo(core)
+    top = memo[0]
+    new = [sizes for sizes in batch if sizes not in top]
+    if new:
+        _fill(flags, memo, new)
+    return [factor * top[sizes] for sizes in batch]
+
+
+def count_injective_homs(forest: LinearForest, parts: PartsLike) -> int:
+    """Number of injective maps of the forest into the host that carry
+    every forest edge to a host edge (endpoints in distinct parts)."""
+    return count_injective_homs_many(forest, (parts,))[0]
 
 
 def count_copies(forest: LinearForest, parts: PartsLike) -> int:

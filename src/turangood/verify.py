@@ -15,15 +15,24 @@ is an output of the run, never an input).
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
+from itertools import islice
 
 from .forest import (
     LinearForest,
     Record,
+    aut_order,
+    copies_from_injective_homs,
     delete_even_end_pair,
     delete_isolated,
     delete_odd_endpoint,
 )
-from .multipartite import PartSizes, PartsLike, count_copies, turan_parts
+from .multipartite import (
+    PartSizes,
+    PartsLike,
+    count_copies,
+    count_injective_homs_many,
+    turan_parts,
+)
 from .oracle import (
     EXHAUSTIVE_CAP_DEFAULT,
     WITNESS_CAP_DEFAULT,
@@ -71,18 +80,34 @@ class VerificationReport(Record):
 
 
 def partitions_at_most(n: int, k: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Partitions of n into at most k positive parts, non-increasing,
-    in descending lexicographic order."""
-    if largest is None:
-        largest = n
+    """Partitions of n into at most k positive parts, each at most
+    largest (default n), non-increasing, in descending lexicographic
+    order."""
     if n == 0:
         yield ()
         return
-    if k == 0:
+    top = n if largest is None else min(n, largest)
+    if k < 1 or top < 1 or n > k * top:
         return
-    for first in range(min(n, largest), 0, -1):
-        for rest in partitions_at_most(n - first, k - 1, first):
-            yield (first,) + rest
+    q, r = divmod(n, top)
+    parts = [top] * q + [r] * (r > 0)
+    while True:
+        yield tuple(parts)
+        # the next partition keeps the longest prefix it can: lower the
+        # rightmost part that stays >= 1 and leaves a tail (its old tail
+        # plus the unit taken) that fits into the k - i - 1 slots after
+        # it, each at most the lowered part; then refill them greedily
+        tail = 0
+        for i in range(len(parts) - 1, -1, -1):
+            v = parts[i] - 1
+            tail += 1
+            if v and tail <= (k - i - 1) * v:
+                break
+            tail += v
+        else:
+            return
+        q, r = divmod(tail, v)
+        parts[i:] = [v] * (q + 1) + [r] * (r > 0)
 
 
 def _bipartitions(n: int) -> Iterator[tuple[int, int]]:
@@ -103,23 +128,34 @@ def _n_values(n_range: Iterable[int]) -> list[int]:
     return values
 
 
+_SWEEP_CHUNK = 64
+"""Hosts counted per DP batch in a multipartite-max sweep: enough for the
+batch to share its states, few enough that the partition list is never
+built whole."""
+
+
 def verify_multipartite_max(forest: LinearForest, n: int, k: int) -> VerificationReport:
     """Check that among all complete multipartite graphs on n vertices
     with at most k parts, the Turan partition attains the largest copy
-    count.  Ties are legal and all maximizers are reported."""
+    count.  Ties are legal and all maximizers are reported, in the order
+    of ``partitions_at_most``.  The hosts are counted in batches of
+    _SWEEP_CHUNK, each in one pass of the counting DP."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    aut = aut_order(forest)
     best = -1
     maximizers: list[tuple[int, ...]] = []
     checked = 0
-    for part in partitions_at_most(n, k):
-        checked += 1
-        cnt = count_copies(forest, part)
-        if cnt > best:
-            best = cnt
-            maximizers = [part]
-        elif cnt == best:
-            maximizers.append(part)
+    hosts = partitions_at_most(n, k)
+    while chunk := list(islice(hosts, _SWEEP_CHUNK)):
+        checked += len(chunk)
+        for part, inj in zip(chunk, count_injective_homs_many(forest, chunk)):
+            cnt = copies_from_injective_homs(inj, aut)
+            if cnt > best:
+                best = cnt
+                maximizers = [part]
+            elif cnt == best:
+                maximizers.append(part)
     target = turan_parts(n, k).canonical
     params = {"forest": str(forest), "n": n, "k": k}
     if target in maximizers:

@@ -16,9 +16,11 @@ from turangood import (
     count_copies_turan,
     count_injective_homs,
     turan_parts,
+    verify_multipartite_max,
 )
 from turangood.cli import run
-from turangood.multipartite import canonical_sizes
+from turangood.forest import edge_core
+from turangood.multipartite import canonical_sizes, count_injective_homs_many
 from turangood.verify import partitions_at_most
 
 
@@ -220,6 +222,80 @@ class TestCountingCore:
         assert target.components not in multipartite._memos
 
 
+def _memo_states(core):
+    """Every (position, caps, marker) the memo of the core holds."""
+    flags, memo = multipartite._memos[core]
+    out = set()
+    for pos, layer in enumerate(memo):
+        for caps, held in layer.items():
+            assert isinstance(held, dict) == flags[pos]
+            out.update((pos, caps, f) for f in (held if flags[pos] else (-1,)))
+    return out
+
+
+def _reachable_states(core, roots):
+    """(position, caps, marker) reachable from the roots by the plain move
+    rule: the next vertex takes any part but the forbidden one, and when
+    it must be adjacent to the vertex after it, its part becomes the
+    forbidden one.  The deepest two positions are left out, as in the memo."""
+    flags = [t > 0 for c in core for t in range(c)]
+    seen = set()
+    layer = {(tuple(caps), -1) for caps in roots}
+    for pos in range(len(flags) - 1):
+        seen.update((pos, caps, f) for caps, f in layer)
+        nxt = set()
+        for caps, f in layer:
+            for i, c in enumerate(caps):
+                if i and caps[i - 1] == c:
+                    continue
+                if caps.count(c) == 1 and c == f:
+                    continue
+                rest = list(caps)
+                rest[i] = c - 1
+                succ = tuple(sorted((x for x in rest if x), reverse=True))
+                nxt.add((succ, c - 1 if flags[pos + 1] and c > 1 else -1))
+        layer = nxt
+    return seen
+
+
+class TestBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(comps=_bounded_lists(1, 7, 7), n=st.integers(0, 8), data=st.data())
+    def test_batch_matches_brute_force(self, comps, n, data):
+        def host(cuts):
+            bounds = [0, *sorted(cuts), n]
+            return [b - a for a, b in zip(bounds, bounds[1:])]   # zeros included
+
+        cuts = st.lists(st.integers(0, n), max_size=4)
+        hosts = data.draw(st.lists(cuts.map(host), min_size=1, max_size=6))
+        hosts += data.draw(st.lists(st.sampled_from(hosts), max_size=3))   # duplicates
+        warm = data.draw(st.lists(st.sampled_from(hosts), max_size=2))     # in the memo already
+        forest = LinearForest(tuple(comps))
+        multipartite._memos.clear()
+        for h in warm:
+            count_injective_homs(forest, h)
+        assert (count_injective_homs_many(forest, hosts)
+                == [brute_inj_homs_multipartite(forest.components, tuple(h)) for h in hosts])
+
+    def test_empty_batch(self):
+        assert count_injective_homs_many(LinearForest((3, 2)), []) == []
+
+    def test_mixed_n_rejected(self):
+        with pytest.raises(ValueError):
+            count_injective_homs_many(LinearForest((3, 2)), [(3, 2), (3, 3)])
+
+    @pytest.mark.parametrize("comps, n, k", [((4, 3, 2), 14, 4), ((6,), 17, 5), ((2, 2, 1), 12, 6)])
+    def test_memo_holds_exactly_the_reachable_states(self, monkeypatch, comps, n, k):
+        monkeypatch.setattr(multipartite, "_memos", OrderedDict())
+        forest = LinearForest(comps)
+        core, _ = edge_core(forest.components, n)
+        lone = turan_parts(n, k).canonical
+        count_injective_homs(forest, lone)
+        assert _memo_states(core) == _reachable_states(core, [lone])
+        verify_multipartite_max(forest, n, k)
+        assert _memo_states(core) == _reachable_states(core, partitions_at_most(n, k))
+
+
 class TestEdgeCore:
     @settings(max_examples=60, deadline=None)
     @given(comps=st.lists(st.integers(1, 4), max_size=2), r=st.integers(0, 3),
@@ -263,8 +339,7 @@ class TestEdgeCore:
         # pair of capacities: about n^2 / 4 states here
         monkeypatch.setattr(multipartite, "_memos", OrderedDict())
         count_injective_homs(LinearForest((1000,)), (500, 500))
-        _, memo = multipartite._memos[(1000,)]
-        assert sum(map(len, memo)) <= 2 * 1000
+        assert len(_memo_states((1000,))) <= 2 * 1000
 
     def test_too_large_forest_builds_nothing(self, monkeypatch, capsys):
         def refuse(components):

@@ -8,6 +8,7 @@ from turangood import (
     PartSizes,
     balance_trajectory,
     balancing_move,
+    count_copies,
     count_copies_explicit,
     explicit_multipartite,
     verify_balancing_monotone,
@@ -17,6 +18,7 @@ from turangood import (
     verify_multipartite_max,
     verify_odd_extension_identity,
 )
+from turangood import verify as verify_mod
 from turangood.verify import VerificationReport, partitions_at_most
 
 
@@ -33,6 +35,25 @@ class TestPartitionEnumeration:
             assert all(a >= b for a, b in zip(part, part[1:]))
             assert sum(part) == 9
             assert len(part) <= 4
+
+    def test_matches_recursive_reference(self):
+        def reference(n, k, largest=None):
+            if largest is None:
+                largest = n
+            if n == 0:
+                yield ()
+                return
+            if k == 0:
+                return
+            for first in range(min(n, largest), 0, -1):
+                for rest in reference(n - first, k - 1, first):
+                    yield (first,) + rest
+
+        for n in range(26):
+            for k in range(9):
+                for largest in (None, *range(-1, n + 2)):
+                    assert (list(partitions_at_most(n, k, largest))
+                            == list(reference(n, k, largest))), (n, k, largest)
 
 
 class TestMultipartiteMax:
@@ -59,6 +80,17 @@ class TestMultipartiteMax:
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError):
             verify_multipartite_max(LinearForest((2,)), 5, 0)
+
+    @pytest.mark.parametrize("comps, n, k", [((1,), 14, 5), ((3, 2), 17, 5), ((4,), 18, 4)])
+    def test_chunked_sweep_matches_host_by_host(self, comps, n, k):
+        # more hosts than one batch, and a last batch that is not full
+        forest = LinearForest(comps)
+        hosts = list(partitions_at_most(n, k))
+        assert len(hosts) > verify_mod._SWEEP_CHUNK and len(hosts) % verify_mod._SWEEP_CHUNK
+        counts = [count_copies(forest, h) for h in hosts]
+        rep = verify_multipartite_max(forest, n, k)
+        assert rep.instances_checked == len(hosts)
+        assert rep.maximizers == tuple(h for h, c in zip(hosts, counts) if c == max(counts))
 
 
 class TestBalancingMove:

@@ -187,19 +187,17 @@ def _fill(flags: tuple[bool, ...], memo: list[dict], roots: Iterable) -> None:
                         row[j - 1] = c
                     else:
                         succ = caps[:j - 1]
+                    mark = c - 1 if bind and c > 1 else -1
                     if not bind:
                         if succ not in known:
                             nxt[succ] = _UNMARKED
-                        moves.append((c, j - i, succ, -1))
-                    else:
-                        mark = c - 1 if c > 1 else -1
-                        if mark not in known.get(succ, ()):
-                            marks_next = nxt.get(succ)
-                            if marks_next is None:
-                                nxt[succ] = [mark]
-                            elif mark not in marks_next:
-                                marks_next.append(mark)
-                        moves.append((c, j - i, succ, mark))
+                    elif mark not in known.get(succ, ()):
+                        marks_next = nxt.get(succ)
+                        if marks_next is None:
+                            nxt[succ] = [mark]
+                        elif mark not in marks_next:
+                            marks_next.append(mark)
+                    moves.append((c, j - i, succ, mark))
                 i = j
             layer.append((caps, marks, moves))
         layers.append(layer)

@@ -20,8 +20,10 @@ the TURANGOOD_FORMAT, TURANGOOD_WORKERS, TURANGOOD_CAP and
 TURANGOOD_WITNESSES environment variables.  FORMAT applies to every
 command; WORKERS, CAP and WITNESSES apply to ``verify`` only and are
 ignored by the others.  An invalid value exits 2 in the commands it
-applies to.  --workers (TURANGOOD_WORKERS) is validated and otherwise
-has no effect: the exhaustive scan runs on one thread.
+applies to.  --workers (TURANGOOD_WORKERS) is kept so that old command
+lines still run: it is validated here and then ignored, since the
+exhaustive scan runs on one thread and the library takes no worker
+count.
 """
 
 from __future__ import annotations
@@ -130,7 +132,7 @@ def _sweep_reports(args: argparse.Namespace) -> list[verify_mod.VerificationRepo
         return [verify_mod.verify_multipartite_max(forest, n, k) for n, k in _grid(args)]
     if claim == "conjecture":
         return [verify_mod.verify_conjecture(forest, n, k, cap=args.cap,
-                                             witness_cap=args.witnesses, workers=args.workers)
+                                             witness_cap=args.witnesses)
                 for n, k in _grid(args)]
     if claim == "balance":
         if args.parts is None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from math import factorial, perm
+from operator import index
 
 
 class Record:
@@ -56,13 +57,26 @@ class Record:
         return type(self), self._values()
 
 
+def parse_int_list(text: str, empty: str, invalid: str) -> tuple[int, ...]:
+    """The integers of a comma-separated list; blank items are skipped.
+    An empty list raises ValueError(empty), an item that is not an
+    integer ValueError(f"{invalid} {text!r}")."""
+    items = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not items:
+        raise ValueError(empty)
+    try:
+        return tuple(int(tok) for tok in items)
+    except ValueError:
+        raise ValueError(f"{invalid} {text!r}") from None
+
+
 class LinearForest(Record):
     """Multiset of path orders, canonicalized to non-increasing order."""
 
     __slots__ = ("components",)
 
     def __init__(self, components: tuple[int, ...] = ()) -> None:
-        comps = tuple(sorted((int(c) for c in components), reverse=True))
+        comps = tuple(sorted(map(index, components), reverse=True))
         for c in comps:
             if c < 1:
                 raise ValueError(f"component order must be >= 1, got {c}")
@@ -74,14 +88,8 @@ class LinearForest(Record):
 
         Whitespace is ignored.  The input must name at least one component.
         """
-        items = [tok.strip() for tok in text.split(",") if tok.strip()]
-        if not items:
-            raise ValueError("forest must have at least one component")
-        try:
-            orders = [int(tok) for tok in items]
-        except ValueError:
-            raise ValueError(f"invalid forest spec {text!r}") from None
-        return cls(tuple(orders))
+        return cls(parse_int_list(text, "forest must have at least one component",
+                                  "invalid forest spec"))
 
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.components)
@@ -89,14 +97,6 @@ class LinearForest(Record):
     @property
     def total_vertices(self) -> int:
         return sum(self.components)
-
-    @property
-    def total_edges(self) -> int:
-        return sum(c - 1 for c in self.components)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.components
 
     def multiplicity(self, order: int) -> int:
         """Number of components with the given order."""

@@ -45,9 +45,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Iterable
+from operator import index
 
 from .forest import (LinearForest, Record, aut_order, back_edge_flags,
-                     copies_from_injective_homs, edge_core)
+                     copies_from_injective_homs, edge_core, parse_int_list)
 
 
 class PartSizes(Record):
@@ -62,7 +63,7 @@ class PartSizes(Record):
     __slots__ = ("sizes",)
 
     def __init__(self, sizes: tuple[int, ...] = ()) -> None:
-        sizes = tuple(int(s) for s in sizes)
+        sizes = tuple(map(index, sizes))
         for s in sizes:
             if s < 0:
                 raise ValueError(f"part size must be >= 0, got {s}")
@@ -70,14 +71,8 @@ class PartSizes(Record):
 
     @classmethod
     def parse(cls, text: str) -> "PartSizes":
-        items = [tok.strip() for tok in text.split(",") if tok.strip()]
-        if not items:
-            raise ValueError("part sizes must name at least one part")
-        try:
-            sizes = [int(tok) for tok in items]
-        except ValueError:
-            raise ValueError(f"invalid part sizes {text!r}") from None
-        return cls(tuple(sizes))
+        return cls(parse_int_list(text, "part sizes must name at least one part",
+                                  "invalid part sizes"))
 
     def __str__(self) -> str:
         return ",".join(str(s) for s in self.canonical)

@@ -181,9 +181,6 @@ class SmallGraph(Record):
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for (i, j) in _edge_pairs(self.n) if self.adj[i] >> j & 1]
 
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
-
     def to_graph6(self) -> str:
         """Encode in graph6 format (bit layout documented at module top)."""
         bits = []
@@ -198,27 +195,6 @@ class SmallGraph(Record):
                 val = val << 1 | b
             chars.append(chr(val + 63))
         return "".join(chars)
-
-    @classmethod
-    def from_graph6(cls, text: str) -> "SmallGraph":
-        if not text:
-            raise ValueError("empty graph6 string")
-        n = ord(text[0]) - 63
-        if not 0 <= n <= MAX_GRAPH_VERTICES:
-            raise ValueError(f"graph6 vertex count {n} outside supported range")
-        nbits = n * (n - 1) // 2
-        bits = []
-        for ch in text[1:]:
-            val = ord(ch) - 63
-            if not 0 <= val < 64:
-                raise ValueError(f"invalid graph6 character {ch!r}")
-            bits.extend(val >> s & 1 for s in range(5, -1, -1))
-        if len(bits) < nbits:
-            raise ValueError("graph6 string too short")
-        mask = 0
-        for t in range(nbits):
-            mask |= bits[t] << t
-        return cls.from_edge_mask(n, mask)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.edges()],
@@ -352,17 +328,6 @@ class ExtremalResult(Record):
                  turan_count: int, witnesses: tuple[SmallGraph, ...],
                  graphs_scanned: int) -> None:
         self._set(forest, n, k, max_count, turan_count, witnesses, graphs_scanned)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "forest": str(self.forest),
-            "n": self.n,
-            "k": self.k,
-            "max_count": self.max_count,
-            "turan_count": self.turan_count,
-            "witnesses": [w.to_json_dict() for w in self.witnesses],
-            "graphs_scanned": self.graphs_scanned,
-        }
 
 
 def _zeta(a: np.ndarray, nbits: int, op, start: int = 0) -> None:
@@ -652,15 +617,13 @@ def _ref_peak_bytes(n: int) -> int:
 
 def extremal_search(forest: LinearForest, n: int, k: int, *,
                     cap: int = EXHAUSTIVE_CAP_DEFAULT,
-                    witness_cap: int = WITNESS_CAP_DEFAULT,
-                    workers: int | None = None) -> ExtremalResult:
+                    witness_cap: int = WITNESS_CAP_DEFAULT) -> ExtremalResult:
     """Maximize the forest's copy count over all K_{k+1}-free graphs on n
     labeled vertices, scanning every edge mask.
 
     Refuses n above the cap (default 7, hard limit 8), and any n whose
     arrays would not fit in the memory available now.  Witnesses are the
-    smallest maximizing edge masks.  ``workers`` is accepted and has no
-    effect: the scan runs on one thread.
+    smallest maximizing edge masks.  The scan runs on one thread.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -351,12 +351,10 @@ def verify_isolated_identity(forest: LinearForest,
 
 def verify_conjecture(forest: LinearForest, n: int, k: int, *,
                       cap: int = EXHAUSTIVE_CAP_DEFAULT,
-                      witness_cap: int = WITNESS_CAP_DEFAULT,
-                      workers: int | None = None) -> VerificationReport:
+                      witness_cap: int = WITNESS_CAP_DEFAULT) -> VerificationReport:
     """Exhaustively check that no K_{k+1}-free graph on n labeled
     vertices holds more copies of the forest than the Turan graph."""
-    result = extremal_search(forest, n, k, cap=cap,
-                             witness_cap=witness_cap, workers=workers)
+    result = extremal_search(forest, n, k, cap=cap, witness_cap=witness_cap)
     params = {"forest": str(forest), "n": n, "k": k}
     if result.max_count == result.turan_count:
         return VerificationReport("conjecture", params, HOLDS,

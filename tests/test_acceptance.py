@@ -2,16 +2,16 @@
 
 Each criterion prints one [PASS]/[FAIL] line (run pytest with -s to see
 them on success).  Criteria 1-5 build canonical JSON report blobs; the
-determinism criterion regenerates every blob under worker counts 1, 2
-and max and demands byte-identical output.
+determinism criterion regenerates every blob with the engines' caches
+cleared and demands byte-identical output.
 """
 
 import json
-import os
 import time
 
 from conftest import all_forests
 
+from turangood import multipartite, oracle
 from turangood import (
     LinearForest,
     count_copies_explicit,
@@ -33,8 +33,6 @@ from turangood.verify import balance_trajectory, partitions_at_most
 FORESTS_LE6 = [LinearForest(c) for c in all_forests(6)]
 FORESTS_LE5 = [LinearForest(c) for c in all_forests(5)]
 
-_MAX_WORKERS = os.cpu_count() or 1
-
 # blobs and timings of the first generation, reused by criterion 7
 _store: dict[int, bytes] = {}
 _elapsed: dict[int, float] = {}
@@ -50,26 +48,26 @@ def _criterion(num: int, description: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {num} failed: {description} {detail}"
 
 
-def _generate(num: int, workers: int | None = None) -> bytes:
+def _generate(num: int) -> bytes:
     gen = {1: _gen_oracle_equivalence,
            2: _gen_multipartite_max_sweep,
            3: _gen_balancing_sweep,
            4: _gen_identity_sweep,
            5: _gen_conjecture_sweep}[num]
-    return gen(workers)
+    return gen()
 
 
 def _blob(num: int) -> bytes:
     if num not in _store:
         start = time.perf_counter()
-        _store[num] = _generate(num, workers=_MAX_WORKERS)
+        _store[num] = _generate(num)
         _elapsed[num] = time.perf_counter() - start
     return _store[num]
 
 
 # -- report generators -------------------------------------------------------
 
-def _gen_oracle_equivalence(workers=None) -> bytes:
+def _gen_oracle_equivalence() -> bytes:
     rows = []
     for forest in FORESTS_LE6:
         for n in range(0, 10):
@@ -82,7 +80,7 @@ def _gen_oracle_equivalence(workers=None) -> bytes:
     return _dump(rows)
 
 
-def _gen_multipartite_max_sweep(workers=None) -> bytes:
+def _gen_multipartite_max_sweep() -> bytes:
     reports = []
     for forest in FORESTS_LE6:
         for k in (2, 3, 4):
@@ -99,7 +97,7 @@ def _balancing_inputs():
                 yield PartSizes(part + (0,) * (4 - len(part)))
 
 
-def _gen_balancing_sweep(workers=None) -> bytes:
+def _gen_balancing_sweep() -> bytes:
     reports = []
     for forest in FORESTS_LE5:
         for parts in _balancing_inputs():
@@ -107,7 +105,7 @@ def _gen_balancing_sweep(workers=None) -> bytes:
     return _dump(reports)
 
 
-def _gen_identity_sweep(workers=None) -> bytes:
+def _gen_identity_sweep() -> bytes:
     reports = []
     for forest in FORESTS_LE6:
         v = forest.total_vertices
@@ -121,13 +119,12 @@ def _gen_identity_sweep(workers=None) -> bytes:
     return _dump(reports)
 
 
-def _gen_conjecture_sweep(workers=None) -> bytes:
+def _gen_conjecture_sweep() -> bytes:
     reports = []
     for forest in FORESTS_LE5:
         for k in (2, 3):
             for n in range(forest.total_vertices, 8):
-                reports.append(verify_conjecture(
-                    forest, n, k, workers=workers).to_json_dict())
+                reports.append(verify_conjecture(forest, n, k).to_json_dict())
     return _dump(reports)
 
 
@@ -221,13 +218,21 @@ def test_criterion_6_pinned_values():
                all(checks), str(checks))
 
 
+def _clear_result_caches() -> None:
+    """Drop every cached search result and DP state, so that a rerun
+    counts again instead of reading back what the first run stored."""
+    for cached in (oracle._core_search, oracle._inj_counts_all_graphs,
+                   oracle._clique_free_selector):
+        cached.cache_clear()
+    multipartite._memos.clear()
+
+
 def test_criterion_7_determinism():
     mismatches = []
     for num in (1, 2, 3, 4, 5):
         first = _blob(num)
-        for workers in (1, 2, _MAX_WORKERS):
-            again = _generate(num, workers=workers)
-            if again != first:
-                mismatches.append((num, workers))
-    _criterion(7, "criteria 1-5 reports byte-identical across repeated runs "
-                  "and worker counts 1, 2, max", not mismatches, str(mismatches))
+        _clear_result_caches()
+        if _generate(num) != first:
+            mismatches.append(num)
+    _criterion(7, "criteria 1-5 reports byte-identical when rerun with cold caches",
+               not mismatches, str(mismatches))

@@ -53,13 +53,12 @@ class TestCanonicalForm:
     def test_totals(self):
         f = LinearForest((5, 3, 1))
         assert f.total_vertices == 9
-        assert f.total_edges == 6
         assert f.multiplicity(3) == 1
         assert f.multiplicity(2) == 0
 
     def test_empty_forest_is_internal_value(self):
         f = LinearForest(())
-        assert f.is_empty
+        assert f.components == ()
         assert f.total_vertices == 0
         assert str(f) == ""
 

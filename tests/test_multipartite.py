@@ -3,6 +3,7 @@ import random
 from collections import OrderedDict
 from math import factorial, perm
 
+import numpy as np
 import pytest
 from conftest import all_forests, brute_copies_multipartite, brute_inj_homs_multipartite
 from hypothesis import example, given, settings
@@ -49,6 +50,23 @@ class TestPartSizes:
             PartSizes.parse("2,a")
 
 
+@pytest.mark.parametrize("value", [2.5, 3.0, "3", np.int64(3)],
+                         ids=["float", "integral-float", "str", "numpy-int"])
+def test_records_take_integers_only(value):
+    # int() would truncate 2.5 and parse "3"; only integer types are taken
+    if isinstance(value, np.integer):
+        assert LinearForest((value,)).components == (3,)
+        assert PartSizes((value,)).sizes == (3,)
+        assert type(PartSizes((value,)).sizes[0]) is int
+        return
+    with pytest.raises(TypeError):
+        LinearForest((value,))
+    with pytest.raises(TypeError):
+        PartSizes((value,))
+    with pytest.raises(TypeError):
+        count_copies(LinearForest((3,)), (value, 3))
+
+
 class TestTuranParts:
     def test_examples(self):
         assert turan_parts(7, 3).sizes == (3, 2, 2)
@@ -71,7 +89,8 @@ class TestTuranParts:
 class TestCanonicalSizes:
     @pytest.mark.parametrize("parts, canonical", [
         ((), ()), ((3, 2), (3, 2)), ((1, 1, 1), (1, 1, 1)), ((3, 0), (3,)), ((2, 3), (3, 2)),
-        ([3, 2], (3, 2)), ((3.0, 2), (3, 2)), ((True, 1), (1, 1)), (PartSizes((0, 2, 5)), (5, 2)),
+        ([3, 2], (3, 2)), ((np.int64(3), 2), (3, 2)), ((True, 1), (1, 1)),
+        (PartSizes((0, 2, 5)), (5, 2)),
     ])
     def test_canonical_form(self, parts, canonical):
         got = canonical_sizes(parts)

@@ -86,15 +86,6 @@ class TestSmallGraph:
         assert SmallGraph(1, (0,)).to_graph6() == "@"
         assert SmallGraph(5, (0,) * 5).to_graph6() == "D??"
 
-    def test_graph6_roundtrip(self):
-        random.seed(7)
-        for n in range(0, 8):
-            nbits = n * (n - 1) // 2
-            for _ in range(25):
-                mask = random.randrange(1 << nbits) if nbits else 0
-                g = SmallGraph.from_edge_mask(n, mask)
-                assert SmallGraph.from_graph6(g.to_graph6()) == g
-
     def test_graph6_matches_networkx_on_atlas(self):
         nx = pytest.importorskip("networkx")
         for h in nx.graph_atlas_g():  # every graph on <= 7 vertices, up to isomorphism
@@ -103,10 +94,22 @@ class TestSmallGraph:
             g = SmallGraph.from_edges(n, h.edges())
             text = nx.to_graph6_bytes(h, header=False).rstrip(b"\n").decode()
             assert g.to_graph6() == text
-            assert SmallGraph.from_graph6(text) == g
             back = nx.from_graph6_bytes(g.to_graph6().encode())
             assert back.number_of_nodes() == n
             assert {tuple(sorted(e)) for e in back.edges()} == edges
+
+    def test_graph6_matches_networkx_on_random_labeled_graphs(self):
+        # the atlas holds one labelling per class and stops at 7 vertices
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(7)
+        for n in range(MAX_GRAPH_VERTICES + 1):
+            nbits = n * (n - 1) // 2
+            for _ in range(25):
+                g = SmallGraph.from_edge_mask(n, rng.getrandbits(nbits))
+                h = nx.empty_graph(n)
+                h.add_edges_from(g.edges())
+                text = nx.to_graph6_bytes(h, header=False).rstrip(b"\n").decode()
+                assert g.to_graph6() == text
 
 
 class TestExplicitMultipartite:
@@ -120,7 +123,7 @@ class TestExplicitMultipartite:
 
     def test_single_part_is_edgeless(self):
         g = explicit_multipartite((3,))
-        assert g.n == 3 and g.edge_count() == 0
+        assert g.n == 3 and g.edges() == []
 
     def test_zero_parts_stripped(self):
         assert explicit_multipartite((2, 0, 2)) == explicit_multipartite((2, 2))
@@ -775,13 +778,6 @@ class TestExtremalSearch:
             extremal_search(LinearForest((2,)), 8, 2)
         with pytest.raises(ValueError):
             extremal_search(LinearForest((2,)), 9, 2, cap=9)
-
-    def test_worker_counts_agree(self):
-        forest = LinearForest((3, 2))
-        results = [extremal_search(forest, 6, 2, workers=w) for w in (None, 1, 2, 4)]
-        first = results[0]
-        for r in results[1:]:
-            assert r == first
 
     def test_forest_larger_than_host(self):
         r = extremal_search(LinearForest((4, 4)), 5, 2)

@@ -308,6 +308,6 @@ class TestReports:
         b = verify_multipartite_max(LinearForest((3, 2)), 9, 3)
         assert (json.dumps(a.to_json_dict(), sort_keys=True)
                 == json.dumps(b.to_json_dict(), sort_keys=True))
-        c = verify_conjecture(LinearForest((3,)), 5, 2, workers=1)
-        d = verify_conjecture(LinearForest((3,)), 5, 2, workers=2)
+        c = verify_conjecture(LinearForest((3,)), 5, 2)
+        d = verify_conjecture(LinearForest((3,)), 5, 2)
         assert c.to_json_dict() == d.to_json_dict()

@@ -14,7 +14,6 @@ nonempty.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from math import factorial, perm
 from operator import index
 
@@ -103,14 +102,12 @@ class LinearForest(Record):
         return sum(1 for c in self.components if c == order)
 
 
-@lru_cache(maxsize=256)
 def aut_order(forest: LinearForest) -> int:
     """Order of the automorphism group of the forest.
 
     Every component of order >= 2 can be reversed independently, and
     components of equal order can be permuted among each other:
     2^(#components of order >= 2) * prod over distinct orders of mult!.
-    Cached per forest: a sweep divides every host's count by it.
     """
     out = 1 << sum(1 for c in forest.components if c >= 2)
     for mult in Counter(forest.components).values():
@@ -130,7 +127,6 @@ def copies_from_injective_homs(inj: int, aut: int) -> int:
     return copies
 
 
-@lru_cache(maxsize=256)
 def edge_core(components: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
     """(edge core, factor) of a forest placed into n host vertices.
 

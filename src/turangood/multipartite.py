@@ -43,8 +43,8 @@ counts are exact at any magnitude.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Iterable
+from functools import lru_cache
 from operator import index
 
 from .forest import (LinearForest, Record, aut_order, back_edge_flags,
@@ -118,30 +118,16 @@ def turan_parts(n: int, k: int) -> PartSizes:
     return PartSizes((q + 1,) * r + (q,) * (k - r))
 
 
-_MEMO_CORES = 2
-"""Edge cores whose DP states are kept.  The identity verifiers alternate a
-forest and its shrunk forest, so two suffice; more only cost memory."""
-
-_memos: OrderedDict = OrderedDict()
-"""Edge core -> (its back-edge flags, one dict per position but the last).
-A position whose vertex starts a path holds marker -1 only and maps
-caps -> count of ways to place the rest; any other position maps
-caps -> {marker: count}.  No lock guards it: the package runs the DP on
-one thread only."""
-
-
+@lru_cache(maxsize=2)
 def _core_memo(core: tuple[int, ...]) -> tuple[tuple[bool, ...], list[dict]]:
-    """The core's flags and memo; evicts the least recently used core
-    beyond _MEMO_CORES."""
-    entry = _memos.get(core)
-    if entry is None:
-        flags = back_edge_flags(core)
-        entry = _memos[core] = (flags, [{} for _ in range(len(flags) - 1)])
-        if len(_memos) > _MEMO_CORES:
-            _memos.popitem(last=False)
-    else:
-        _memos.move_to_end(core)
-    return entry
+    """The edge core's back-edge flags and memo, one dict per position but
+    the last: where a path starts it maps caps -> count of ways to place
+    the rest (marker -1 only), elsewhere caps -> {marker: count}.  Two
+    cores are kept, as the identity verifiers alternate a forest and its
+    shrunk forest; more only cost memory.  No lock guards a memo: the
+    package runs the DP on one thread only."""
+    flags = back_edge_flags(core)
+    return flags, [{} for _ in range(len(flags) - 1)]
 
 
 _UNMARKED = (-1,)

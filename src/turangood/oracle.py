@@ -90,8 +90,6 @@ _SHARD_SIZE = 1 << 18
 _COUNT_MAX = 0xFFFF  # largest uint16, the dtype of the count arrays
 _ROW_BITS = 8
 """Low mask bits that ``_seeded_zeta`` transforms on seeded rows only."""
-_CHUNK_ROWS = 256
-"""Seeded rows gathered per step; bounds the gathered block."""
 _HOLD_ONE_N = EXHAUSTIVE_CAP_LIMIT
 """From this n on one array is 256 MiB or more, so each array cache
 drops what it holds before it builds the next array: one count array
@@ -112,12 +110,13 @@ def _edge_pairs(n: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _edge_index(n: int) -> dict:
-    idx = {}
+def _edge_bits(n: int) -> tuple[tuple[int, ...], ...]:
+    """bits[i][j] == bits[j][i] is the edge-mask bit of the pair {i, j};
+    the diagonal is 0."""
+    bits = [[0] * n for _ in range(n)]
     for t, (i, j) in enumerate(_edge_pairs(n)):
-        idx[(i, j)] = t
-        idx[(j, i)] = t
-    return idx
+        bits[i][j] = bits[j][i] = 1 << t
+    return tuple(map(tuple, bits))
 
 
 class SmallGraph(Record):
@@ -357,8 +356,8 @@ def _seeded_zeta(seeds: np.ndarray, values, nbits: int, dtype, op) -> np.ndarray
 
     A row of the 2^_ROW_BITS masks that share their high bits and hold
     no seed is still zero after the low bits, so those bits run only on
-    the seeded rows, gathered _CHUNK_ROWS at a time; the high bits run
-    on the whole array.  Seeds must be ascending and distinct: a repeated
+    the seeded rows, gathered in one block; the high bits run on the
+    whole array.  Seeds must be ascending and distinct: a repeated
     seed would be overwritten, not added, and a row gathered twice would
     be transformed twice.
     """
@@ -371,19 +370,17 @@ def _seeded_zeta(seeds: np.ndarray, values, nbits: int, dtype, op) -> np.ndarray
     # ascending seeds give ascending rows: keep the first of each run
     seeded = seeds >> low
     seeded = seeded[np.flatnonzero(np.diff(seeded, prepend=-1))]
-    for i in range(0, seeded.size, _CHUNK_ROWS):
-        idx = seeded[i:i + _CHUNK_ROWS]
-        block = rows[idx]
-        _zeta(block.reshape(-1), low, op)
-        rows[idx] = block
+    block = rows[seeded]
+    _zeta(block.reshape(-1), low, op)
+    rows[seeded] = block
     _zeta(a, nbits, op, low)
     return a
 
 
 def _clique_masks(n: int, r: int) -> list[int]:
     """The edge masks of the r-cliques on n vertices, ascending."""
-    eidx = _edge_index(n)
-    return sorted(sum(1 << eidx[p] for p in combinations(group, 2))
+    bits = _edge_bits(n)
+    return sorted(sum(bits[i][j] for i, j in combinations(group, 2))
                   for group in combinations(range(n), r))
 
 
@@ -424,9 +421,7 @@ def _placement_histogram(n: int, core: tuple[int, ...]) -> tuple[np.ndarray, np.
     m = len(flags)
     placed = np.fromiter(chain.from_iterable(permutations(range(n), m)), dtype=np.int8,
                          count=perm(n, m) * m).reshape(perm(n, m), m)
-    bit = np.zeros((n, n), dtype=np.int64)
-    for t, (i, j) in enumerate(_edge_pairs(n)):
-        bit[i, j] = bit[j, i] = 1 << t
+    bit = np.array(_edge_bits(n), dtype=np.int64).reshape(n, n)  # 2-D at n = 0 too
     demanded = np.zeros(len(placed), dtype=np.int64)
     for pos in range(1, m):
         if flags[pos]:
@@ -436,30 +431,19 @@ def _placement_histogram(n: int, core: tuple[int, ...]) -> tuple[np.ndarray, np.
     return np.unique(demanded, return_counts=True)
 
 
-def _core_counts(n: int, core: tuple[int, ...]) -> np.ndarray:
-    """Per-mask injective homomorphism counts of a forest: the histogram
-    of the edge masks that its placements into K_n demand, subset-summed
-    so entry G holds the number of placements entirely inside G."""
-    import numpy as np
-
-    demanded, hits = _placement_histogram(n, core)
-    w = _seeded_zeta(demanded, hits, n * (n - 1) // 2, np.uint16, np.add)
-    # the transform leaves the total placement count at the full mask
-    if int(w[-1]) != perm(n, sum(core)):
-        raise RuntimeError("subset-sum transform integrity check failed")
-    w.setflags(write=False)
-    return w
-
-
 @lru_cache(maxsize=1)
 def _inj_counts_all_graphs(n: int, comps: tuple[int, ...]) -> np.ndarray:
-    """Injective homomorphism counts of the forest for every edge mask.
+    """Injective homomorphism counts of the forest for every edge mask:
+    the histogram of the edge masks that its placements into K_n demand,
+    subset-summed so entry G holds the number of placements inside G.
 
     The search passes the edge core; isolated components, if any, are
     placed like the others and demand no edge.  One entry is kept, so at
     most one count array outlives a search, and from _HOLD_ONE_N on it
     is dropped before the next is built.
     """
+    import numpy as np
+
     # every entry is bounded by the total placement count n!/(n-m)!,
     # so the uint16 array cannot wrap; refuse if that ever changes
     bound = perm(n, min(sum(comps), n))
@@ -467,7 +451,13 @@ def _inj_counts_all_graphs(n: int, comps: tuple[int, ...]) -> np.ndarray:
         raise OverflowError(f"placement count bound {bound} exceeds uint16")
     if n >= _HOLD_ONE_N:
         _drop_counts()
-    return _core_counts(n, comps)
+    demanded, hits = _placement_histogram(n, comps)
+    w = _seeded_zeta(demanded, hits, n * (n - 1) // 2, np.uint16, np.add)
+    # the transform leaves the total placement count at the full mask
+    if int(w[-1]) != perm(n, sum(comps)):
+        raise RuntimeError("subset-sum transform integrity check failed")
+    w.setflags(write=False)
+    return w
 
 
 _drop_counts = _inj_counts_all_graphs.cache_clear
@@ -553,13 +543,13 @@ def _core_search(n: int, core: tuple[int, ...], k: int,
         raise ValueError(f"n={n} needs about {need >> 20} MiB of arrays, "
                          f"only {avail >> 20} MiB available")
     if n <= _SMALL_N:
-        eidx = _edge_index(n)
+        bits = _edge_bits(n)
         back = [pos for pos, flag in enumerate(back_edge_flags(core)) if flag]
-        hist = Counter(sum(1 << eidx[p[pos - 1], p[pos]] for pos in back)
+        hist = Counter(sum(bits[p[pos - 1]][p[pos]] for pos in back)
                        for p in permutations(range(n), sum(core)))
         nbits = n * (n - 1) // 2
         counts = _lane_sums(hist.items(), nbits)
-        # as in _core_counts: the full mask holds every placement
+        # as in _inj_counts_all_graphs: the full mask holds every placement
         if counts[-1] != perm(n, sum(core)):
             raise RuntimeError("subset-sum transform integrity check failed")
         # a mask is K_{k+1}-free when no clique lies inside it
@@ -592,16 +582,16 @@ def _peak_bytes(n: int) -> int:
     Up to _SMALL_N the same sum covers the lane path, which holds about
     six 2-byte lanes a mask at its peak (the count lanes, the int under
     transform, its lane mask and three temporaries): 0.44 MB under
-    tracemalloc at n = 6, against an estimate of 0.71 MB."""
+    tracemalloc at n = 6, against an estimate of 0.65 MB."""
     size = 1 << (n * (n - 1) // 2)
     shard = min(size, _SHARD_SIZE)
     # uint16 core counts, bool selector inverted in place; then the scan's
     # temporaries of one shard: the masked uint16 product of the max pass,
     # or the tie mask and tie indices of the tie pass.  While
     # an array is built: at most n! placements, each an int8 per vertex
-    # plus about 48 bytes of int64 masks, seeds and temporaries, and one
-    # gathered chunk of uint16 rows
-    build = perm(n, n) * (n + 48) + (_CHUNK_ROWS << _ROW_BITS) * 2
+    # plus about 48 bytes of int64 masks, seeds and temporaries, and the
+    # gathered block of seeded uint16 rows, at most one row per seed
+    build = perm(n, n) * (n + 48) + min(perm(n, n) << _ROW_BITS, size) * 2
     return 3 * size + shard * (2 + 1 + 8) + build + _ref_peak_bytes(n)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from itertools import islice
+from operator import index
 
 from .forest import (
     LinearForest,
@@ -118,7 +119,7 @@ def _bipartitions(n: int) -> Iterator[tuple[int, int]]:
 def _n_values(n_range: Iterable[int]) -> list[int]:
     """The sorted distinct n of an identity sweep; below n = 2 no host has
     two nonempty parts, so a range without such an n would check nothing."""
-    values = sorted(set(int(n) for n in n_range))
+    values = sorted(set(map(index, n_range)))
     if not values:
         raise ValueError("n range must be nonempty")
     if values[0] < 0:

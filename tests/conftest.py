@@ -1,11 +1,22 @@
-"""Shared brute-force oracles, deliberately independent of the package.
+"""Shared brute-force oracles, deliberately independent of the package,
+and one helper that is not: ``clear_engine_caches``.
 
-Everything here enumerates naively: host graphs are explicit edge sets,
+Every oracle enumerates naively: host graphs are explicit edge sets,
 injective maps are itertools.permutations, automorphisms are permutations
 checked edge by edge.  Slow and dumb on purpose.
 """
 
 from itertools import permutations
+
+
+def clear_engine_caches():
+    """Drop every cached search result, count array, clique selector and
+    DP memo, so that the next search or count runs from cold caches
+    instead of reading back what an earlier one stored."""
+    from turangood import multipartite, oracle
+    for cached in (oracle._core_search, oracle._inj_counts_all_graphs,
+                   oracle._clique_free_selector, multipartite._core_memo):
+        cached.cache_clear()
 
 
 def forest_edges(components):

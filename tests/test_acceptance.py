@@ -9,9 +9,8 @@ cleared and demands byte-identical output.
 import json
 import time
 
-from conftest import all_forests
+from conftest import all_forests, clear_engine_caches
 
-from turangood import multipartite, oracle
 from turangood import (
     LinearForest,
     count_copies_explicit,
@@ -218,20 +217,11 @@ def test_criterion_6_pinned_values():
                all(checks), str(checks))
 
 
-def _clear_result_caches() -> None:
-    """Drop every cached search result and DP state, so that a rerun
-    counts again instead of reading back what the first run stored."""
-    for cached in (oracle._core_search, oracle._inj_counts_all_graphs,
-                   oracle._clique_free_selector):
-        cached.cache_clear()
-    multipartite._memos.clear()
-
-
 def test_criterion_7_determinism():
     mismatches = []
     for num in (1, 2, 3, 4, 5):
         first = _blob(num)
-        _clear_result_caches()
+        clear_engine_caches()
         if _generate(num) != first:
             mismatches.append(num)
     _criterion(7, "criteria 1-5 reports byte-identical when rerun with cold caches",

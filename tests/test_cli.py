@@ -7,10 +7,11 @@ import sys
 from math import factorial
 
 import pytest
+from conftest import clear_engine_caches
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from turangood import VerificationReport
+from turangood import VerificationReport, oracle
 from turangood.cli import CLAIMS, FORMATS, run
 
 
@@ -290,12 +291,17 @@ class TestEnvironmentOverrides:
 
 class TestDeterminism:
     def test_byte_identical_across_runs_and_workers(self, capsys):
+        # each run starts from cold caches, so every run searches n = 5
+        # and n = 6 again instead of reading the first run's results
         outputs = []
         for workers in ("1", "2", "4", "1"):
+            clear_engine_caches()
             code, out, _ = invoke(capsys, "verify", "conjecture", "--forest", "3,2",
                                   "--n", "5..6", "--k", "2", "--format", "json",
                                   "--workers", workers)
             assert code == 0
+            info = oracle._core_search.cache_info()
+            assert (info.hits, info.misses) == (0, 2)
             outputs.append(out)
         assert len(set(outputs)) == 1
 

@@ -1,6 +1,5 @@
 import json
 import random
-from collections import OrderedDict
 from math import factorial, perm
 
 import numpy as np
@@ -217,7 +216,7 @@ class TestCountingCore:
         assert (count_injective_homs(LinearForest(tuple(comps)), sizes)
                 == brute_inj_homs_multipartite(tuple(comps), tuple(sizes)))
 
-    def test_memo_order_independent(self, monkeypatch):
+    def test_memo_order_independent(self):
         target = LinearForest((5, 3, 2))
         others = [LinearForest((4, 4, 1)), LinearForest((6, 2))]
         hosts = list(partitions_at_most(16, 4))
@@ -225,7 +224,7 @@ class TestCountingCore:
         random.Random(7).shuffle(shuffled)
 
         def counts(order, interleave=()):
-            monkeypatch.setattr(multipartite, "_memos", OrderedDict())
+            multipartite._core_memo.cache_clear()
             out = {}
             for h in order:
                 out[h] = count_injective_homs(target, h)
@@ -238,12 +237,20 @@ class TestCountingCore:
         assert counts(shuffled) == alone
         # three forests in turn overflow the two-forest memo on every host
         assert counts(shuffled, others) == alone
-        assert target.components not in multipartite._memos
+        assert not _memo_holds(target.components)
+
+
+def _memo_holds(core):
+    """Whether the memo of the core is cached.  The lookup caches it and
+    makes it the most recently used."""
+    misses = multipartite._core_memo.cache_info().misses
+    multipartite._core_memo(core)
+    return multipartite._core_memo.cache_info().misses == misses
 
 
 def _memo_states(core):
     """Every (position, caps, marker) the memo of the core holds."""
-    flags, memo = multipartite._memos[core]
+    flags, memo = multipartite._core_memo(core)
     out = set()
     for pos, layer in enumerate(memo):
         for caps, held in layer.items():
@@ -290,7 +297,7 @@ class TestBatch:
         hosts += data.draw(st.lists(st.sampled_from(hosts), max_size=3))   # duplicates
         warm = data.draw(st.lists(st.sampled_from(hosts), max_size=2))     # in the memo already
         forest = LinearForest(tuple(comps))
-        multipartite._memos.clear()
+        multipartite._core_memo.cache_clear()
         for h in warm:
             count_injective_homs(forest, h)
         assert (count_injective_homs_many(forest, hosts)
@@ -304,8 +311,8 @@ class TestBatch:
             count_injective_homs_many(LinearForest((3, 2)), [(3, 2), (3, 3)])
 
     @pytest.mark.parametrize("comps, n, k", [((4, 3, 2), 14, 4), ((6,), 17, 5), ((2, 2, 1), 12, 6)])
-    def test_memo_holds_exactly_the_reachable_states(self, monkeypatch, comps, n, k):
-        monkeypatch.setattr(multipartite, "_memos", OrderedDict())
+    def test_memo_holds_exactly_the_reachable_states(self, comps, n, k):
+        multipartite._core_memo.cache_clear()
         forest = LinearForest(comps)
         core, _ = edge_core(forest.components, n)
         lone = turan_parts(n, k).canonical
@@ -330,33 +337,35 @@ class TestEdgeCore:
         base = count_injective_homs(LinearForest(tuple(comps)), sizes)
         assert got == (base * perm(n - m, r) if m + r <= n else 0)
 
-    def test_forests_with_one_core_share_a_memo_entry(self, monkeypatch):
+    def test_forests_with_one_core_share_a_memo_entry(self):
         forests = [LinearForest((4, 2) + (1,) * r) for r in range(4)]
         hosts = list(partitions_at_most(11, 4))
         pairs = [(f, h) for f in forests for h in hosts]
         cold = {}
         for f, h in pairs:
-            monkeypatch.setattr(multipartite, "_memos", OrderedDict())
+            multipartite._core_memo.cache_clear()
             cold[f, h] = count_injective_homs(f, h)
         for seed in range(3):
             random.Random(seed).shuffle(pairs)
-            monkeypatch.setattr(multipartite, "_memos", OrderedDict())
+            multipartite._core_memo.cache_clear()
             assert {(f, h): count_injective_homs(f, h) for f, h in pairs} == cold
-            assert list(multipartite._memos) == [(4, 2)]
+            assert multipartite._core_memo.cache_info().currsize == 1
+            assert _memo_holds((4, 2))
 
-    def test_isolated_identity_alternation_uses_one_entry(self, monkeypatch):
-        monkeypatch.setattr(multipartite, "_memos", OrderedDict())
+    def test_isolated_identity_alternation_uses_one_entry(self):
+        multipartite._core_memo.cache_clear()
         forest = LinearForest((3, 2, 1))
         for n in range(2, 9):
             for a in range(1, n // 2 + 1):
                 count_copies(forest, (n - a, a))
                 count_copies(LinearForest((3, 2)), (n - a, a))
-        assert list(multipartite._memos) == [(3, 2)]
+        assert multipartite._core_memo.cache_info().currsize == 1
+        assert _memo_holds((3, 2))
 
-    def test_path_states_grow_linearly(self, monkeypatch):
+    def test_path_states_grow_linearly(self):
         # a marker-free memo (caps alone) would visit every unbalanced
         # pair of capacities: about n^2 / 4 states here
-        monkeypatch.setattr(multipartite, "_memos", OrderedDict())
+        multipartite._core_memo.cache_clear()
         count_injective_homs(LinearForest((1000,)), (500, 500))
         assert len(_memo_states((1000,))) <= 2 * 1000
 

@@ -6,8 +6,8 @@ from math import perm
 
 import numpy as np
 import pytest
-from conftest import (all_forests, brute_copies, brute_inj_homs, forest_edges,
-                      multipartite_edge_set)
+from conftest import (all_forests, brute_copies, brute_inj_homs, clear_engine_caches,
+                      forest_edges, multipartite_edge_set)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +26,7 @@ from turangood.oracle import (
     MAX_GRAPH_VERTICES,
     WITNESS_CAP_DEFAULT,
     _clique_free_selector,
-    _edge_index,
+    _edge_bits,
     _edge_pairs,
     _inj_counts_all_graphs,
     _placement_histogram,
@@ -314,14 +314,24 @@ class TestScanEngine:
     def test_edge_pair_order_matches_graph6(self):
         assert _edge_pairs(4) == ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
 
+    def test_edge_bits_follow_pair_order(self):
+        for n in range(MAX_GRAPH_VERTICES + 1):
+            bits = _edge_bits(n)
+            assert len(bits) == n and all(len(row) == n for row in bits)
+            for v in range(n):
+                assert bits[v][v] == 0
+            for t, (i, j) in enumerate(_edge_pairs(n)):
+                assert bits[i][j] == bits[j][i] == 1 << t
+                assert SmallGraph.from_edge_mask(n, bits[i][j]).edges() == [(i, j)]
+
 
 def _brute_selector(n, r):
     """Clique-free flags by testing every mask against every clique mask."""
     masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
-    eidx = _edge_index(n)
+    bits = _edge_bits(n)
     bad = np.zeros(masks.size, dtype=bool)
     for group in combinations(range(n), r):
-        em = sum(1 << eidx[p] for p in combinations(group, 2))
+        em = sum(bits[i][j] for i, j in combinations(group, 2))
         bad |= (masks & em) == em
     return ~bad
 
@@ -344,7 +354,7 @@ class TestLeanEngine:
     def test_overflow_refused_before_allocation(self, monkeypatch, comps):
         def allocates(*args):
             raise AssertionError("counts allocated before the overflow guard")
-        monkeypatch.setattr(oracle, "_core_counts", allocates)
+        monkeypatch.setattr(oracle, "_placement_histogram", allocates)
         with pytest.raises(OverflowError):
             _inj_counts_all_graphs(9, comps)
 
@@ -522,15 +532,12 @@ class TestSeededEngine:
                                  label="seeds"))
         values = data.draw(st.lists(st.integers(0, 0xFFFF), min_size=len(seeds),
                                     max_size=len(seeds)), label="values")
-        chunk = data.draw(st.integers(1, 300), label="chunk rows")
         for op, dtype, vals in [(np.add, np.uint16, np.array(values, dtype=np.uint16)),
                                 (np.logical_or, bool, True)]:
             dense = np.zeros(1 << nbits, dtype=dtype)
             dense[seeds] = vals
             _zeta(dense, nbits, op)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(oracle, "_CHUNK_ROWS", chunk)
-                got = _seeded_zeta(np.array(seeds, dtype=np.int64), vals, nbits, dtype, op)
+            got = _seeded_zeta(np.array(seeds, dtype=np.int64), vals, nbits, dtype, op)
             assert got.dtype == dtype
             assert np.array_equal(got, dense)
 
@@ -631,11 +638,6 @@ class TestTwoPhaseScan:
         visited.clear()
         assert oracle._scan(counts, ok, 0) == (4, ())
         assert visited == []
-
-
-def clear_engine_caches():
-    for fn in (oracle._core_search, _inj_counts_all_graphs, _clique_free_selector):
-        fn.cache_clear()
 
 
 class TestCoreSearchCache:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from conftest import brute_copies, multipartite_edge_set
 
@@ -238,20 +239,42 @@ class TestIsolatedIdentity:
             verify_isolated_identity(LinearForest((3,)), [4])
 
 
+IDENTITY_SWEEPS = pytest.mark.parametrize("verify", [
+    lambda n: verify_odd_extension_identity(LinearForest((3,)), 3, n),
+    lambda n: verify_even_extension_identity(LinearForest((2,)), 2, n),
+    lambda n: verify_isolated_identity(LinearForest((2, 1)), n),
+], ids=["odd", "even", "isolated"])
+"""The three identity sweeps, each as a function of its n range."""
+
+
 class TestIdentityRangeWithoutHosts:
     """No n below 2 has a host with two nonempty parts; a range of such n
     would check nothing, so it is refused rather than reported."""
 
-    @pytest.mark.parametrize("verify", [
-        lambda n: verify_odd_extension_identity(LinearForest((3,)), 3, n),
-        lambda n: verify_even_extension_identity(LinearForest((2,)), 2, n),
-        lambda n: verify_isolated_identity(LinearForest((2, 1)), n),
-    ], ids=["odd", "even", "isolated"])
+    @IDENTITY_SWEEPS
     def test_refused_below_two(self, verify):
         for n_range in ([0], [1], [0, 1]):
             with pytest.raises(ValueError, match="no n >= 2"):
                 verify(n_range)
         assert verify([0, 1, 2]).instances_checked == 1
+
+
+class TestIdentityRangeIntegers:
+    """Each n of an identity sweep must be an integer: a float or a
+    string is refused, not truncated; numpy integers are accepted."""
+
+    @IDENTITY_SWEEPS
+    @pytest.mark.parametrize("bad", [5.5, "6"])
+    def test_non_integer_refused(self, verify, bad):
+        with pytest.raises(TypeError):
+            verify([5, bad])
+
+    @IDENTITY_SWEEPS
+    def test_numpy_integer_accepted(self, verify):
+        rep = verify([5, np.int64(6)])
+        assert rep.params["n_range"] == [5, 6]
+        assert all(type(n) is int for n in rep.params["n_range"])
+        assert rep == verify([5, 6])
 
 
 class TestConjecture:

@@ -2,8 +2,8 @@
 
 This module is the reference side of every count: explicit graphs with
 bitmask adjacency, a layer DP over (last vertex, used vertex set) that
-counts injective homomorphisms into a batch of graphs at once, a clique
-search, and an exhaustive maximizer over all labeled n-vertex graphs.
+counts injective homomorphisms into one graph, a clique search, and an
+exhaustive maximizer over all labeled n-vertex graphs.
 
 Edge bit layout (shared by edge masks and graph6 strings): the vertex
 pairs of an n-vertex graph are enumerated column by column along the
@@ -46,8 +46,9 @@ array is kept, so at most one outlives a search; at n = 8, where one
 array is 256 or 512 MiB, each array cache also drops its entry before
 it builds the next, so one count array and one selector are alive at a
 time.  The result is exact and is spot-checked, per forest and
-uncached: one call of the reference counter counts the Turan graph and
-every witness it returns, and the clique search checks every witness.
+uncached: the reference counter counts the Turan graph and every
+witness it returns, one graph per call, and the clique search checks
+every witness.
 
 Up to n = _SMALL_N = 6, where an array has at most 2^15 entries and
 importing numpy costs more than the whole search, the search does not
@@ -235,56 +236,41 @@ def _without(n: int) -> tuple[int, ...]:
                  for v in range(n))
 
 
-def _inj_homs_explicit(comps: tuple[int, ...], graphs: list[SmallGraph]) -> list[int]:
-    """Injective homomorphism counts of the forest with these components
-    into each graph, all graphs on one vertex count n.
-
-    A layer DP over the forest's vertices, the components laid down in
-    order, per graph on Python ints: cur[v] holds one _LANE-bit lane per
-    vertex set S, the number of placements of the vertices so far that
-    use S and end at vertex v.  A vertex that must be adjacent to the one
-    before sums cur over v's neighbours, the first vertex of a component
-    sums all of cur; either way the lanes of the S that lack v are kept
-    and moved up to lane S + 2^v.  The count is the sum of the last
-    layer's lanes: its total modulo 2^_LANE - 1, as 2^_LANE is 1 modulo
-    it.  Every lane and every total counts placements, at most
-    n!/(n-m)! <= 10!, below 2^_LANE - 1: no lane carries into the next
-    and the modulus is exact.
-    """
-    if not graphs:
-        return []
-    n = graphs[0].n
-    if any(g.n != n for g in graphs):
-        raise ValueError("graphs of one batch must share their vertex count")
-    flags = back_edge_flags(comps)
-    if len(flags) > n:  # no injective placement; skips a layer per vertex
-        return [0] * len(graphs)
-    without = _without(n)
-    shifts = [_LANE << v for v in range(n)]
-    counts = []
-    for g in graphs:
-        nbrs = [_members(row) for row in g.adj]
-        cur = [1]  # before the first vertex: one empty placement, S = {}
-        for back in flags:
-            if back:
-                nxt = []
-                for nb, w, shift in zip(nbrs, without, shifts):
-                    total = 0
-                    for u in nb:
-                        total += cur[u]
-                    nxt.append((total & w) << shift)
-                cur = nxt
-            else:
-                total = sum(cur)
-                cur = [(total & w) << shift for w, shift in zip(without, shifts)]
-        counts.append(sum(cur) % ((1 << _LANE) - 1))
-    return counts
-
-
 def count_injective_homs_explicit(forest: LinearForest, g: SmallGraph) -> int:
     """Injective edge-preserving maps of the forest into g, by the
-    reference layer DP (a batch of one)."""
-    return _inj_homs_explicit(forest.components, [g])[0]
+    reference layer DP.
+
+    The DP runs over the forest's vertices, the components laid down in
+    order, on Python ints: cur[v] holds one _LANE-bit lane per vertex set
+    S, the number of placements of the vertices so far that use S and
+    end at vertex v.  A vertex that must be adjacent to the one before
+    sums cur over v's neighbours, the first vertex of a component sums
+    all of cur; either way the lanes of the S that lack v are kept and
+    moved up to lane S + 2^v.  The count is the sum of the last layer's
+    lanes: its total modulo 2^_LANE - 1, as 2^_LANE is 1 modulo it.
+    Every lane and every total counts placements, at most n!/(n-m)! <=
+    10!, below 2^_LANE - 1: no lane carries into the next and the
+    modulus is exact.
+    """
+    n = g.n
+    if sum(forest.components) > n:  # no injective placement; skips every layer
+        return 0
+    without = _without(n)
+    shifts = [_LANE << v for v in range(n)]
+    nbrs = [_members(row) for row in g.adj]
+    cur = [1]  # before the first vertex: one empty placement, S = {}
+    for c in forest.components:
+        total = sum(cur)
+        cur = [(total & w) << shift for w, shift in zip(without, shifts)]
+        for _ in range(c - 1):
+            nxt = []
+            for nb, w, shift in zip(nbrs, without, shifts):
+                total = 0
+                for u in nb:
+                    total += cur[u]
+                nxt.append((total & w) << shift)
+            cur = nxt
+    return sum(cur) % ((1 << _LANE) - 1)
 
 
 def count_copies_explicit(forest: LinearForest, g: SmallGraph) -> int:
@@ -596,13 +582,12 @@ def _peak_bytes(n: int) -> int:
 
 
 def _ref_peak_bytes(n: int) -> int:
-    """Upper estimate of the bytes the reference counter allocates on
-    n-vertex graphs: 3n + 8 ints of 2^n lanes (the ``_without`` cache,
-    the last layer, the next one and temporaries), each at most 4 bytes a
-    lane (24 bits in 30-bit digits) and a header; the ``_members`` cache,
-    at most 2^n tuples of about 140 bytes; and 64 KiB for the counts of a
-    batch of up to 1,000 graphs, about 50 bytes a graph."""
-    return (3 * n + 8) * ((4 << n) + 32) + (160 << n) + (64 << 10)
+    """Upper estimate of the bytes the reference counter allocates on an
+    n-vertex graph: 3n + 8 ints of 2^n lanes (the ``_without`` cache, the
+    last layer, the next one and temporaries), each at most 4 bytes a
+    lane (24 bits in 30-bit digits) and a header; and the ``_members``
+    cache, at most 2^n tuples of about 140 bytes."""
+    return (3 * n + 8) * ((4 << n) + 32) + (160 << n)
 
 
 def extremal_search(forest: LinearForest, n: int, k: int, *,
@@ -633,16 +618,13 @@ def extremal_search(forest: LinearForest, n: int, k: int, *,
     max_inj = core_max * factor
 
     max_count = copies_from_injective_homs(max_inj, aut_order(forest))
-    # engine self-check: the Turan graph and every witness are counted
-    # again by the reference counter in one batch; the reported maximum
-    # and the clique filter must agree with it on every witness
-    turan_graph = explicit_multipartite(turan_parts(n, k))
+    # engine self-check: the reference counter counts the Turan graph
+    # and every witness again; the reported maximum and the clique filter
+    # must agree with it on every witness
+    turan_count = count_copies_explicit(forest, explicit_multipartite(turan_parts(n, k)))
     witnesses = [SmallGraph.from_edge_mask(n, mask) for mask in witness_masks]
-    turan_inj, *witness_inj = _inj_homs_explicit(forest.components,
-                                                 [turan_graph] + witnesses)
-    turan_count = copies_from_injective_homs(turan_inj, aut_order(forest))
-    for mask, g, inj in zip(witness_masks, witnesses, witness_inj):
-        if inj != max_inj:
+    for mask, g in zip(witness_masks, witnesses):
+        if count_injective_homs_explicit(forest, g) != max_inj:
             raise RuntimeError(f"scan self-check failed on mask {mask}")
         if not is_clique_free(g, k + 1):
             raise RuntimeError(f"clique filter self-check failed on mask {mask}")

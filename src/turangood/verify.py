@@ -80,18 +80,15 @@ class VerificationReport(Record):
         return out
 
 
-def partitions_at_most(n: int, k: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Partitions of n into at most k positive parts, each at most
-    largest (default n), non-increasing, in descending lexicographic
-    order."""
+def partitions_at_most(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into at most k positive parts, non-increasing, in
+    descending lexicographic order."""
     if n == 0:
         yield ()
         return
-    top = n if largest is None else min(n, largest)
-    if k < 1 or top < 1 or n > k * top:
+    if k < 1 or n < 1:
         return
-    q, r = divmod(n, top)
-    parts = [top] * q + [r] * (r > 0)
+    parts = [n]
     while True:
         yield tuple(parts)
         # the next partition keeps the longest prefix it can: lower the

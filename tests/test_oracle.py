@@ -177,7 +177,8 @@ def random_graphs(rng, n, count):
 
 
 class TestReferenceBatch:
-    """The batched reference counter against a permutation brute force."""
+    """The reference counter, graph by graph, against a permutation brute
+    force."""
 
     @pytest.mark.parametrize("n", range(0, 11))
     def test_random_batches_match_permutations(self, n):
@@ -185,21 +186,18 @@ class TestReferenceBatch:
         # from n = 8 on; below n = 6 this includes forests larger than n
         rng = random.Random(100 + n)
         for comps in [()] + all_forests(6 if n <= 7 else 4):
-            graphs = random_graphs(rng, n, rng.randint(1, 4))
-            assert (oracle._inj_homs_explicit(comps, graphs)
-                    == [brute_inj_homs(comps, n, set(g.edges())) for g in graphs]), (n, comps)
+            for g in random_graphs(rng, n, rng.randint(1, 4)):
+                assert (count_injective_homs_explicit(LinearForest(comps), g)
+                        == brute_inj_homs(comps, n, set(g.edges()))), (n, comps)
 
     def test_edge_cases(self):
         rng = random.Random(7)
         graphs = random_graphs(rng, 5, 6)
-        assert oracle._inj_homs_explicit((3,), []) == []
-        assert oracle._inj_homs_explicit((), graphs) == [1] * 6
-        assert oracle._inj_homs_explicit((), [SmallGraph(0, ())]) == [1]
-        assert oracle._inj_homs_explicit((1,), [SmallGraph(0, ())]) == [0]
-        assert oracle._inj_homs_explicit((4, 2), graphs) == [0] * 6
-        assert oracle._inj_homs_explicit((1,) * 5, graphs) == [120] * 6
-        with pytest.raises(ValueError, match="vertex count"):
-            oracle._inj_homs_explicit((2,), graphs + random_graphs(rng, 4, 1))
+        for comps, want in [((), 1), ((4, 2), 0), ((1,) * 5, 120)]:
+            assert [count_injective_homs_explicit(LinearForest(comps), g)
+                    for g in graphs] == [want] * 6
+        assert count_injective_homs_explicit(LinearForest(()), SmallGraph(0, ())) == 1
+        assert count_injective_homs_explicit(LinearForest((1,)), SmallGraph(0, ())) == 0
 
     def test_exact_at_the_lane_bound(self):
         # every lane and every total the counter can meet is at most
@@ -209,46 +207,32 @@ class TestReferenceBatch:
         assert perm(top, top) < 2 ** oracle._LANE - 1
         k10 = explicit_multipartite((1,) * top)
         no_edge = SmallGraph.from_edges(top, [e for e in k10.edges() if e != (0, 1)])
-        got = oracle._inj_homs_explicit((top,), [k10, no_edge])
+        path = LinearForest((top,))
+        got = [count_injective_homs_explicit(path, g) for g in (k10, no_edge)]
         # Hamiltonian paths as vertex sequences; 2 * 9! of them use edge 01
         assert got == [perm(top, top), perm(top, top) - 2 * perm(top - 1, top - 1)]
         assert all(type(c) is int for c in got)
-        assert oracle._inj_homs_explicit((1,) * top, [k10]) == [perm(top, top)]
-        assert oracle._inj_homs_explicit((2,) * 5, [k10]) == [perm(top, top)]
+        assert count_injective_homs_explicit(LinearForest((1,) * top), k10) == perm(top, top)
+        assert count_injective_homs_explicit(LinearForest((2,) * 5), k10) == perm(top, top)
 
     @pytest.mark.parametrize("n", [5, 8, 10])
     def test_chunks_bound_the_arrays(self, n):
-        # 500 graphs at once; paths and matchings keep every layer full.
-        # From cold caches, so the lane masks and vertex lists are counted
+        # 500 graphs, one call each; paths and matchings keep every layer
+        # full.  From cold caches, so the lane masks and vertex lists are
+        # counted
         graphs = random_graphs(random.Random(n), n, 500)
         for comps in [(n,), (2,) * (n // 2)]:
+            forest = LinearForest(comps)
             oracle._without.cache_clear()
             oracle._members.cache_clear()
             tracemalloc.start()
             try:
-                oracle._inj_homs_explicit(comps, graphs)
+                for g in graphs:
+                    count_injective_homs_explicit(forest, g)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak <= oracle._ref_peak_bytes(n), (n, comps, peak)
-
-    @pytest.mark.parametrize("chunk", [1, 2, 3])
-    def test_batch_order_and_chunks_do_not_matter(self, chunk):
-        # a batch counts each graph as alone, in any order, and as the
-        # batches of `chunk` graphs it splits into
-        rng = random.Random(chunk)
-        for n in (4, 6, 7):
-            graphs = random_graphs(rng, n, 10)
-            for comps in [(2,), (3, 1), (2, 2), (4,), (1, 1)]:
-                alone = [count_injective_homs_explicit(LinearForest(comps), g) for g in graphs]
-                assert oracle._inj_homs_explicit(comps, graphs) == alone
-                split = [c for lo in range(0, len(graphs), chunk)
-                         for c in oracle._inj_homs_explicit(comps, graphs[lo:lo + chunk])]
-                assert split == alone
-                order = list(range(len(graphs)))
-                rng.shuffle(order)
-                shuffled = oracle._inj_homs_explicit(comps, [graphs[i] for i in order])
-                assert shuffled == [alone[i] for i in order]
 
 
 class TestIsCliqueFree:
@@ -695,20 +679,33 @@ class TestLanePath:
         assert lanes[specs.index((6, (2,), 0, 10))] == (0, ())
         assert lanes[specs.index((6, (2,), 1, 10))] == (0, (0,))
 
-    def test_integrity_check(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("path", ["lanes", "arrays"])
+    def test_integrity_check(self, monkeypatch, capsys, path):
         # a transform that miscounts the placements at the full mask is an
-        # engine defect, as on the numpy path: the search raises and
+        # engine defect on either path: the search raises and
         # ``verify conjecture`` exits 3 without a traceback
         from turangood.cli import run
-        lane_sums = oracle._lane_sums
+        if path == "lanes":
+            lane_sums = oracle._lane_sums
 
-        def corrupt(seeds, nbits):
-            sums = lane_sums(seeds, nbits)
-            sums[-1] += 1
-            return sums
+            def corrupt(seeds, nbits):
+                sums = lane_sums(seeds, nbits)
+                sums[-1] += 1
+                return sums
 
-        monkeypatch.setattr(oracle, "_lane_sums", corrupt)
-        oracle._core_search.cache_clear()
+            monkeypatch.setattr(oracle, "_lane_sums", corrupt)
+        else:
+            seeded_zeta = oracle._seeded_zeta
+
+            def corrupt(seeds, values, nbits, dtype, op):
+                a = seeded_zeta(seeds, values, nbits, dtype, op)
+                if dtype is np.uint16:  # the counts, not the clique selector
+                    a[-1] += 1
+                return a
+
+            monkeypatch.setattr(oracle, "_SMALL_N", -1)
+            monkeypatch.setattr(oracle, "_seeded_zeta", corrupt)
+        clear_engine_caches()
         message = "subset-sum transform integrity check failed"
         with pytest.raises(RuntimeError, match=message):
             extremal_search(LinearForest((3,)), 5, 2)

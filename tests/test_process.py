@@ -175,6 +175,43 @@ class TestTracedRuns:
         assert (traced.returncode, traced.stdout) == (plain.returncode, plain.stdout)
         assert int(traced.stderr.decode().split()[-1]) > 0
 
+    def test_self_check_is_traced(self):
+        # the reference counts of the Turan graph and of every witness,
+        # and the clique check of every witness, are spans of the search
+        argv = ["verify", "conjecture", "--forest", "3,1", "--n", "7", "--k", "2"]
+        code = "\n".join([
+            "import contextlib, io, json, sys, time",
+            f"sys.path.insert(0, {BENCH!r})",
+            "from spans import ID, NAME, PARENT, Tracer, layer_metrics",
+            "from turangood import cli",
+            "tracer = Tracer()",
+            "tracer.install()",
+            "start = time.perf_counter()",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    rc = cli.run({argv!r})",
+            "wall = time.perf_counter() - start",
+            "names = {s[ID]: s[NAME] for s in tracer.spans}",
+            "parents = {}",
+            "for s in tracer.spans:",
+            "    parents.setdefault(s[NAME], set()).add(names.get(s[PARENT]))",
+            "print(json.dumps({'rc': rc, 'metrics': layer_metrics([tracer.spans], [wall], wall),",
+            "                  'parents': {k: sorted(map(str, v)) for k, v in parents.items()}}))",
+        ])
+        proc = python("-c", code)
+        assert proc.returncode == 0, proc.stderr.decode()
+        out = json.loads(proc.stdout)
+        metrics, parents = out["metrics"], out["parents"]
+        assert out["rc"] == 0
+        witnesses = extremal_search(LinearForest((3, 1)), 7, 2).witnesses
+        assert metrics["oracle.turan_ref_s"] > 0
+        assert metrics["oracle.witness_checks"] == 2 * len(witnesses) > 0
+        search = "oracle.extremal_search"
+        assert parents["oracle.count_copies_explicit"] == [search]
+        assert parents["oracle.is_clique_free"] == [search]
+        # the Turan count calls the injective counter once more, inside it
+        assert parents["oracle.count_injective_homs_explicit"] == sorted(
+            [search, "oracle.count_copies_explicit"])
+
 
 def test_one_count_array_outlives_searches():
     code = ("import gc\n"

@@ -28,24 +28,27 @@ masks; the transform starts from those few seeds, so its low 8 bits run
 only on the rows of 256 masks that hold one.  Counts are uint16: no
 entry exceeds the total placement count n!/(n-m)! <= 8! = 40320, and
 an overflow guard refuses any forest and n where that bound would not
-hold.  The K_{k+1}-free selector uses the same transform: containing a
-clique is an up-set, so the clique masks are seeded and closed upward
-with OR, then complemented.  One thread scans fixed shards of masks for
-the best count, each shard's own; then it walks the shards that reach
-that count, in mask order, for the smallest tied masks and stops at the
-shard that completes the witnesses, so a search pays for the ties it
-reports, not for every tie.
+hold.  The K_{k+1}-free masks come from one uint8 array of clique
+numbers per n, built by the same transform: containing a clique is an
+up-set, so each clique mask is seeded with its order and closed upward
+with max; a mask is K_{k+1}-free iff its entry is at most k.  One thread
+scans fixed shards of masks in mask order, selecting each shard's
+K_{k+1}-free masks once: a shard that reaches the best count so far adds
+its smallest tied masks until the witness cap is met, and a higher count
+starts the ties over, so no shard is selected twice and no tie past the
+cap is collected.
 
 Isolated vertices demand no edge: each multiplies every count by the
 number of vertices still free, a positive factor that keeps the order
 and the ties.  So the search runs once per edge core (the components of
 order >= 2), k and witness cap, and its result (the best core count and
 the tied masks, never an array) is cached; every forest with that core
-scales the count and reuses the masks.  Only the most recent count
-array is kept, so at most one outlives a search; at n = 8, where one
-array is 256 or 512 MiB, each array cache also drops its entry before
-it builds the next, so one count array and one selector are alive at a
-time.  The result is exact and is spot-checked, per forest and
+scales the count and reuses the masks.  The count array and the
+clique-number array are each held by a one-entry cache that drops its
+array before it builds the next, at every n: at most one array of each
+kind is alive, and a loop over many forests and k at n = 8 stays at
+the memory of one search (a 512 MiB count array and a 256 MiB clique
+array).  The result is exact and is spot-checked, per forest and
 uncached: the reference counter counts the Turan graph and every
 witness it returns, one graph per call, and the clique search checks
 every witness.
@@ -67,9 +70,10 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import chain, combinations, islice, permutations
 from math import perm
+from types import SimpleNamespace
 
 from .forest import (LinearForest, Record, aut_order, back_edge_flags,
                      copies_from_injective_homs, edge_core)
@@ -86,15 +90,12 @@ EXHAUSTIVE_CAP_DEFAULT = 7
 EXHAUSTIVE_CAP_LIMIT = 8
 WITNESS_CAP_DEFAULT = 10
 
-_SHARD_SIZE = 1 << 18
-"""Edge masks per scan step; bounds the scan's temporaries."""
+_SHARD_SIZE = 1 << 17
+"""Edge masks per scan step; bounds the scan's temporaries, which hold
+about 11 bytes a mask of one shard (see ``_peak_bytes``)."""
 _COUNT_MAX = 0xFFFF  # largest uint16, the dtype of the count arrays
 _ROW_BITS = 8
 """Low mask bits that ``_seeded_zeta`` transforms on seeded rows only."""
-_HOLD_ONE_N = EXHAUSTIVE_CAP_LIMIT
-"""From this n on one array is 256 MiB or more, so each array cache
-drops what it holds before it builds the next array: one count array
-and one selector are alive at a time.  Below it the caches keep theirs."""
 _SMALL_N = 6
 """Up to this n a search runs on Python ints and never loads numpy.  At
 n = 6 (2^15 masks) a search takes about 10 ms, less than importing
@@ -370,27 +371,59 @@ def _clique_masks(n: int, r: int) -> list[int]:
                   for group in combinations(range(n), r))
 
 
-@lru_cache(maxsize=8)
-def _clique_free_selector(n: int, r: int) -> np.ndarray:
-    """Boolean array over all edge masks: True iff the graph has no K_r.
+def _one_slot(build):
+    """Cache ``build`` for its most recent arguments only.  A call with
+    other arguments drops the held value before it builds the next, so
+    at most one is alive.  ``cache_info()`` counts hits and misses as
+    ``lru_cache`` does, and the drop resets neither: a caller that
+    compares the misses before and after a call sees every build."""
+    held: dict = {}  # arguments -> value, at most one entry
+    stats = {"hits": 0, "misses": 0}
 
-    Containing K_r is an up-set: seed the C(n, r) clique masks, close
-    upward with an OR transform, then complement in place.
+    @wraps(build)
+    def cached(*args):
+        if args in held:
+            stats["hits"] += 1
+            return held[args]
+        stats["misses"] += 1
+        held.clear()
+        held[args] = value = build(*args)
+        return value
+
+    def cache_clear() -> None:
+        held.clear()
+        stats.update(hits=0, misses=0)
+
+    cached.cache_info = lambda: SimpleNamespace(maxsize=1, currsize=len(held), **stats)
+    cached.cache_clear = cache_clear
+    return cached
+
+
+@_one_slot
+def _clique_numbers(n: int) -> np.ndarray:
+    """The clique number of every n-vertex edge mask, as uint8: a mask
+    is K_{k+1}-free iff its entry is at most k.
+
+    Containing K_r is an up-set: seed each clique mask with its order r,
+    the empty mask with min(n, 1), and close upward with a max transform.
     """
     import numpy as np
 
-    if n >= _HOLD_ONE_N:
-        _drop_selectors()
-    sel = _seeded_zeta(np.array(_clique_masks(n, r), dtype=np.int64), True,
-                       n * (n - 1) // 2, bool, np.logical_or)
-    np.logical_not(sel, out=sel)
-    sel.setflags(write=False)
-    return sel
+    order = {0: min(n, 1)}
+    for r in range(2, n + 1):
+        order.update(dict.fromkeys(_clique_masks(n, r), r))
+    seeds = sorted(order)
+    a = _seeded_zeta(np.array(seeds, dtype=np.int64),
+                     np.array([order[m] for m in seeds], dtype=np.uint8),
+                     n * (n - 1) // 2, np.uint8, np.maximum)
+    a.setflags(write=False)
+    return a
 
 
-# bound once: bench/spans.py rebinds the module names to timing wrappers,
-# which have no cache_clear
-_drop_selectors = _clique_free_selector.cache_clear
+def _clique_free_selector(n: int, r: int, lo: int, hi: int) -> np.ndarray:
+    """Boolean flags of the edge masks in [lo, hi): True iff the graph
+    has no K_r."""
+    return _clique_numbers(n)[lo:hi] < r
 
 
 def _placement_histogram(n: int, core: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -417,16 +450,15 @@ def _placement_histogram(n: int, core: tuple[int, ...]) -> tuple[np.ndarray, np.
     return np.unique(demanded, return_counts=True)
 
 
-@lru_cache(maxsize=1)
+@_one_slot
 def _inj_counts_all_graphs(n: int, comps: tuple[int, ...]) -> np.ndarray:
     """Injective homomorphism counts of the forest for every edge mask:
     the histogram of the edge masks that its placements into K_n demand,
     subset-summed so entry G holds the number of placements inside G.
 
     The search passes the edge core; isolated components, if any, are
-    placed like the others and demand no edge.  One entry is kept, so at
-    most one count array outlives a search, and from _HOLD_ONE_N on it
-    is dropped before the next is built.
+    placed like the others and demand no edge.  One entry is kept, and
+    it is dropped before the next is built.
     """
     import numpy as np
 
@@ -435,8 +467,6 @@ def _inj_counts_all_graphs(n: int, comps: tuple[int, ...]) -> np.ndarray:
     bound = perm(n, min(sum(comps), n))
     if bound > _COUNT_MAX:
         raise OverflowError(f"placement count bound {bound} exceeds uint16")
-    if n >= _HOLD_ONE_N:
-        _drop_counts()
     demanded, hits = _placement_histogram(n, comps)
     w = _seeded_zeta(demanded, hits, n * (n - 1) // 2, np.uint16, np.add)
     # the transform leaves the total placement count at the full mask
@@ -446,42 +476,43 @@ def _inj_counts_all_graphs(n: int, comps: tuple[int, ...]) -> np.ndarray:
     return w
 
 
-_drop_counts = _inj_counts_all_graphs.cache_clear
-
-
 def _scan_shard(counts: np.ndarray, ok: np.ndarray, lo: int, hi: int) -> int:
-    """Best count among the selected masks in [lo, hi), 0 when none is
-    selected."""
-    return int((counts[lo:hi] * ok[lo:hi]).max())
+    """Best count among the masks in [lo, hi) that ``ok`` selects, 0 when
+    it selects none."""
+    return int((counts[lo:hi] * ok).max())
 
 
 def _shard_ties(counts: np.ndarray, ok: np.ndarray, best: int, lo: int, hi: int,
                 limit: int) -> list[int]:
-    """The first ``limit`` selected masks in [lo, hi) whose count is best."""
+    """The first ``limit`` masks in [lo, hi) that ``ok`` selects and
+    whose count is best."""
     import numpy as np
 
     tied = counts[lo:hi] == best
-    tied &= ok[lo:hi]
+    tied &= ok
     return [lo + int(m) for m in np.flatnonzero(tied)[:limit]]
 
 
-def _scan(counts: np.ndarray, ok: np.ndarray, witness_cap: int) -> tuple[int, tuple[int, ...]]:
+def _scan(counts: np.ndarray, select, witness_cap: int) -> tuple[int, tuple[int, ...]]:
     """Best count among the selected masks (0 when none is selected) and
-    the first witness_cap selected masks that reach it.
+    the first witness_cap selected masks that reach it; ``select(lo,
+    hi)`` flags the selected masks in [lo, hi).
 
-    The max first, shard by shard; then the ties, in mask order, only in
-    the shards whose own best is the max, stopping at the shard that
-    completes them."""
-    size = counts.size
-    bounds = [(lo, min(lo + _SHARD_SIZE, size)) for lo in range(0, size, _SHARD_SIZE)]
-    bests = [_scan_shard(counts, ok, lo, hi) for lo, hi in bounds]
-    best = max(bests)
-    ties: list[int] = []
-    for (lo, hi), shard_best in zip(bounds, bests):
-        if len(ties) >= witness_cap:
-            break
-        if shard_best == best:
+    One pass over fixed shards in mask order, each selected once: a
+    shard whose own best is the best so far adds its ties until the cap
+    is met, and a higher best starts the ties over."""
+    best, ties = -1, []
+    for lo in range(0, counts.size, _SHARD_SIZE):
+        hi = min(lo + _SHARD_SIZE, counts.size)
+        ok = select(lo, hi)
+        shard_best = _scan_shard(counts, ok, lo, hi)
+        if shard_best > best:
+            best, ties = shard_best, []
+        if shard_best == best and len(ties) < witness_cap:
             ties += _shard_ties(counts, ok, best, lo, hi, witness_cap - len(ties))
+        # free the flags before the next shard's are built, so the
+        # allocator reuses their pages instead of faulting in new ones
+        del ok
     return best, tuple(ties)
 
 
@@ -546,7 +577,8 @@ def _core_search(n: int, core: tuple[int, ...], k: int,
         return best, tuple(islice(ties, witness_cap))
     # counts first: the first numpy import lands in the counting stage
     counts = _inj_counts_all_graphs(n, core)
-    return _scan(counts, _clique_free_selector(n, k + 1), witness_cap)
+    return _scan(counts, lambda lo, hi: _clique_free_selector(n, k + 1, lo, hi),
+                 witness_cap)
 
 
 def _mem_available() -> int | None:
@@ -571,14 +603,15 @@ def _peak_bytes(n: int) -> int:
     tracemalloc at n = 6, against an estimate of 0.65 MB."""
     size = 1 << (n * (n - 1) // 2)
     shard = min(size, _SHARD_SIZE)
-    # uint16 core counts, bool selector inverted in place; then the scan's
-    # temporaries of one shard: the masked uint16 product of the max pass,
-    # or the tie mask and tie indices of the tie pass.  While
+    # one uint16 count array and one uint8 clique-number array, each
+    # dropped before the next is built; then the scan's temporaries of
+    # one shard: the bool selection, the masked uint16 product of its max
+    # or its bool tie mask, and the int64 tie indices.  While
     # an array is built: at most n! placements, each an int8 per vertex
     # plus about 48 bytes of int64 masks, seeds and temporaries, and the
     # gathered block of seeded uint16 rows, at most one row per seed
     build = perm(n, n) * (n + 48) + min(perm(n, n) << _ROW_BITS, size) * 2
-    return 3 * size + shard * (2 + 1 + 8) + build + _ref_peak_bytes(n)
+    return 3 * size + shard * (1 + 2 + 8) + build + _ref_peak_bytes(n)
 
 
 def _ref_peak_bytes(n: int) -> int:

@@ -10,12 +10,12 @@ from itertools import permutations
 
 
 def clear_engine_caches():
-    """Drop every cached search result, count array, clique selector and
-    DP memo, so that the next search or count runs from cold caches
+    """Drop every cached search result, count array, clique-number array
+    and DP memo, so that the next search or count runs from cold caches
     instead of reading back what an earlier one stored."""
     from turangood import multipartite, oracle
     for cached in (oracle._core_search, oracle._inj_counts_all_graphs,
-                   oracle._clique_free_selector, multipartite._core_memo):
+                   oracle._clique_numbers, multipartite._core_memo):
         cached.cache_clear()
 
 

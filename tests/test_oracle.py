@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+import weakref
 from collections import Counter
 from itertools import combinations
 from math import perm
@@ -26,6 +27,7 @@ from turangood.oracle import (
     MAX_GRAPH_VERTICES,
     WITNESS_CAP_DEFAULT,
     _clique_free_selector,
+    _clique_numbers,
     _edge_bits,
     _edge_pairs,
     _inj_counts_all_graphs,
@@ -290,7 +292,7 @@ class TestScanEngine:
         for n in range(1, 6):
             nbits = n * (n - 1) // 2
             for r in (2, 3, 4):
-                ok = _clique_free_selector(n, r)
+                ok = _clique_free_selector(n, r, 0, 1 << nbits)
                 for mask in range(1 << nbits):
                     g = SmallGraph.from_edge_mask(n, mask)
                     assert bool(ok[mask]) == is_clique_free(g, r)
@@ -368,9 +370,10 @@ class TestLeanEngine:
         random.seed(17)
         for n in (6, 7):
             nbits = n * (n - 1) // 2
+            assert not _clique_numbers(n).flags.writeable
             for r in (3, 4, 5):
-                ok = _clique_free_selector(n, r)
-                assert ok.dtype == bool and not ok.flags.writeable
+                ok = _clique_free_selector(n, r, 0, 1 << nbits)
+                assert ok.dtype == bool and ok.size == 1 << nbits
                 for mask in [0, (1 << nbits) - 1] + [random.randrange(1 << nbits)
                                                      for _ in range(40)]:
                     g = SmallGraph.from_edge_mask(n, mask)
@@ -378,7 +381,8 @@ class TestLeanEngine:
 
     def test_closure_selector_matches_brute_numpy(self):
         for r in (2, 3, 4, 7):
-            assert np.array_equal(_clique_free_selector(6, r), _brute_selector(6, r))
+            assert np.array_equal(_clique_free_selector(6, r, 0, 1 << 15),
+                                  _brute_selector(6, r))
 
     @pytest.mark.parametrize("shard_bits", [10, 18])
     def test_scan_witnesses_are_first_ties(self, monkeypatch, shard_bits):
@@ -446,10 +450,9 @@ class TestLeanEngine:
     @pytest.mark.parametrize("comps", [(7,), (6,), (4, 3)])
     def test_peak_estimate_covers_seeded_rows(self, monkeypatch, comps):
         # the cores with the most seeded rows at n = 7, built while the
-        # selector of an earlier search is alive, as at n = 8 where each
-        # cache holds one array; small shards keep the scan's temporaries
-        # below the build's, which the estimate must then cover
-        monkeypatch.setattr(oracle, "_HOLD_ONE_N", 7)
+        # clique numbers of an earlier search are alive, as each cache
+        # holds one array; small shards keep the scan's temporaries below
+        # the build's, which the estimate must then cover
         monkeypatch.setattr(oracle, "_SHARD_SIZE", 1 << 12)
         clear_engine_caches()
         tracemalloc.start()
@@ -480,6 +483,111 @@ class TestLeanEngine:
             tracemalloc.stop()
         assert len(held) == 5000
         assert peak <= oracle._peak_bytes(6) + held_bytes, (comps, peak, held_bytes)
+
+
+def brute_clique_number(n, mask):
+    """Order of the largest vertex set whose pairs are all edges of the
+    mask; edge (u, v), u < v, is bit v(v-1)/2 + u."""
+    def edge(u, v):
+        return mask >> (v * (v - 1) // 2 + u) & 1
+
+    return max(r for r in range(n + 1) for group in combinations(range(n), r)
+               if all(edge(u, v) for u, v in combinations(group, 2)))
+
+
+class TestCliqueNumbers:
+    """The max-closed clique-number array and the shard selector read
+    from it, against brute force and the clique search."""
+
+    def test_every_mask_up_to_n5(self):
+        for n in range(0, 6):
+            numbers = _clique_numbers(n)
+            assert numbers.dtype == np.uint8 and numbers.size == 1 << (n * (n - 1) // 2)
+            assert [brute_clique_number(n, m) for m in range(numbers.size)] == numbers.tolist()
+
+    def test_sampled_masks_n6_n7(self):
+        rng = random.Random(23)
+        for n in (6, 7):
+            numbers = _clique_numbers(n)
+            full = numbers.size - 1
+            for mask in [0, full] + [rng.randrange(full) for _ in range(150)]:
+                assert int(numbers[mask]) == brute_clique_number(n, mask), (n, mask)
+
+    def test_selector_slices_match_clique_search(self):
+        # r = n + 1 and r far past 255 select every mask: the uint8
+        # entries must compare against any int, not wrap
+        rng = random.Random(29)
+        for n in range(1, 8):
+            size = 1 << (n * (n - 1) // 2)
+            for r in [*range(2, n + 2), 256, 257, 100001]:
+                if size <= 1024:
+                    lo, hi = 0, size
+                    masks = range(size)
+                else:
+                    lo = rng.randrange(size)
+                    hi = rng.randrange(lo, size) + 1
+                    masks = [lo, hi - 1] + [rng.randrange(lo, hi) for _ in range(60)]
+                ok = _clique_free_selector(n, r, lo, hi)
+                assert ok.dtype == bool and ok.size == hi - lo
+                for mask in masks:
+                    g = SmallGraph.from_edge_mask(n, mask)
+                    assert bool(ok[mask - lo]) == is_clique_free(g, r), (n, r, mask)
+                if r > n:
+                    assert _clique_free_selector(n, r, 0, size).all(), (n, r)
+
+
+class TestOneSlotCache:
+    """``_one_slot`` holds the value of the latest arguments only, drops
+    it before building the next, and counts as ``lru_cache`` does."""
+
+    def test_counts_and_clear(self):
+        built = []
+
+        @oracle._one_slot
+        def square(x):
+            built.append(x)
+            return [x * x]
+
+        assert square(2) == [4] and square(3) == [9] and square(2) == [4]
+        info = square.cache_info()
+        assert (info.hits, info.misses, info.maxsize, info.currsize) == (0, 3, 1, 1)
+        held = square(2)
+        assert square(2) is held and square.cache_info().hits == 2
+        assert built == [2, 3, 2]
+        square.cache_clear()
+        info = square.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        assert square(2) is not held and built == [2, 3, 2, 2]
+
+    def test_drops_before_building(self):
+        class Box:
+            pass
+
+        alive = []
+
+        @oracle._one_slot
+        def box(key):
+            assert [ref() for ref in alive] == [None] * len(alive), key
+            b = Box()
+            alive.append(weakref.ref(b))
+            return b
+
+        for key in "ABAB":
+            box(key)
+        assert box.cache_info().misses == 4
+        assert [ref() is not None for ref in alive] == [False, False, False, True]
+
+    def test_engine_caches_hold_one_array(self):
+        clear_engine_caches()
+        for comps in [(3,), (2, 2), (3,)]:
+            _inj_counts_all_graphs(7, comps)
+        for n in (7, 6, 7):
+            _clique_numbers(n)
+        for cached in (_inj_counts_all_graphs, _clique_numbers):
+            info = cached.cache_info()
+            assert (info.hits, info.misses, info.currsize) == (0, 3, 1)
+        clear_engine_caches()
+        assert _clique_numbers.cache_info().currsize == 0
 
 
 def recursive_histogram(n, comps):
@@ -556,8 +664,14 @@ def brute_scan(counts, ok, cap):
     return best, tuple(ties[:cap])
 
 
+def shards_of(ok):
+    """The selector ``_scan`` takes: the flags of the masks in [lo, hi)."""
+    return lambda lo, hi: ok[lo:hi]
+
+
 class TestTwoPhaseScan:
-    """The max pass and the early-exit tie pass against ``brute_scan``."""
+    """The max and the early-exit ties of each shard against
+    ``brute_scan``."""
 
     @pytest.mark.parametrize("shard_bits", [4, 10])
     def test_random_arrays_match_brute(self, monkeypatch, shard_bits):
@@ -570,7 +684,7 @@ class TestTwoPhaseScan:
                 ok = rng.random(size) < rng.choice([0.0, 0.01, 0.3, 1.0])
                 for cap in (0, 1, 3, 10, size + 1):
                     want = brute_scan(counts, ok, cap)
-                    assert oracle._scan(counts, ok, cap) == want, (size, top, cap)
+                    assert oracle._scan(counts, shards_of(ok), cap) == want, (size, top, cap)
 
     @pytest.mark.parametrize("shard_bits", [4, 10])
     def test_edge_cases(self, monkeypatch, shard_bits):
@@ -579,14 +693,14 @@ class TestTwoPhaseScan:
         size = 4 * shard
         counts = np.zeros(size, dtype=np.uint16)
         nothing = np.zeros(size, dtype=bool)
-        assert oracle._scan(counts + 5, nothing, 10) == (0, ())
+        assert oracle._scan(counts + 5, shards_of(nothing), 10) == (0, ())
         # best 0: the unselected masks 0..2 also count 0 and must not tie
         ok = np.zeros(size, dtype=bool)
         ok[[3, shard + 1, size - 1]] = True
         counts[3:] = 7
         counts[[3, shard + 1, size - 1]] = 0
-        assert oracle._scan(counts, ok, 10) == (0, (3, shard + 1, size - 1))
-        assert oracle._scan(counts, ok, 0) == (0, ())
+        assert oracle._scan(counts, shards_of(ok), 10) == (0, (3, shard + 1, size - 1))
+        assert oracle._scan(counts, shards_of(ok), 0) == (0, ())
         # best > 0: unselected masks with a higher and with the same count
         counts[:] = 2
         ok[:] = True
@@ -595,7 +709,7 @@ class TestTwoPhaseScan:
         tied = [1, 2, shard - 2, shard - 1, shard, shard + 1, 3 * shard]
         counts[tied] = 5
         for cap in range(7):
-            assert oracle._scan(counts, ok, cap) == (5, tuple(tied[2:2 + cap]))
+            assert oracle._scan(counts, shards_of(ok), cap) == (5, tuple(tied[2:2 + cap]))
 
     def test_tie_pass_stops_at_the_completing_shard(self, monkeypatch):
         shard = 16
@@ -616,12 +730,30 @@ class TestTwoPhaseScan:
             counts[[s * shard + 3, s * shard + 9]] = 4
         for cap, last in [(1, 0), (2, 0), (3, 2), (4, 2), (5, 3), (10, 5), (11, 5)]:
             visited.clear()
-            best, ties = oracle._scan(counts, ok, cap)
+            best, ties = oracle._scan(counts, shards_of(ok), cap)
             assert best == 4 and len(ties) == min(cap, 10)
             assert visited == [s * shard for s in (0, 2, 3, 4, 5) if s <= last]
         visited.clear()
-        assert oracle._scan(counts, ok, 0) == (4, ())
+        assert oracle._scan(counts, shards_of(ok), 0) == (4, ())
         assert visited == []
+
+    @pytest.mark.parametrize("cap", [0, 1, 5, 100])
+    def test_each_shard_selected_once(self, monkeypatch, cap):
+        # a higher best in a later shard starts the ties over without
+        # selecting an earlier shard again
+        shard = 16
+        monkeypatch.setattr(oracle, "_SHARD_SIZE", shard)
+        size = 6 * shard
+        counts = np.arange(size, dtype=np.uint16) // (2 * shard)
+        ok = np.ones(size, dtype=bool)
+        selected = []
+
+        def select(lo, hi):
+            selected.append((lo, hi))
+            return ok[lo:hi]
+
+        assert oracle._scan(counts, select, cap) == brute_scan(counts, ok, cap)
+        assert selected == [(lo, lo + shard) for lo in range(0, size, shard)]
 
 
 class TestCoreSearchCache:

@@ -212,6 +212,29 @@ class TestTracedRuns:
         assert parents["oracle.count_injective_homs_explicit"] == sorted(
             [search, "oracle.count_copies_explicit"])
 
+    def test_array_builds_and_survivors_are_booked_once(self):
+        # the one count array (2^21 uint16) is booked as built, and the
+        # clique-free masks of each k once: 133,501 triangle-free and
+        # 1,486,597 K_4-free labeled graphs on 7 vertices
+        argv = ["verify", "conjecture", "--forest", "3", "--n", "7", "--k", "2..3"]
+        code = "\n".join([
+            "import contextlib, io, json, sys",
+            f"sys.path.insert(0, {BENCH!r})",
+            "from spans import Tracer, layer_metrics",
+            "from turangood import cli",
+            "tracer = Tracer()",
+            "tracer.install()",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    rc = cli.run({argv!r})",
+            "print(json.dumps({'rc': rc, 'metrics': layer_metrics([tracer.spans], [1.0], 1.0)}))",
+        ])
+        proc = python("-c", code)
+        assert proc.returncode == 0, proc.stderr.decode()
+        out = json.loads(proc.stdout)
+        assert out["rc"] == 0
+        assert out["metrics"]["oracle.array_bytes"] >= 2 << 21
+        assert out["metrics"]["oracle.survivor_ratio"] == (133_501 + 1_486_597) / (2 << 21)
+
 
 def test_one_count_array_outlives_searches():
     code = ("import gc\n"
@@ -230,13 +253,12 @@ def test_one_count_array_outlives_searches():
 
 
 def test_one_array_of_each_kind_while_holding_one():
-    # from oracle._HOLD_ONE_N on each array cache drops its entry before it
-    # builds the next; lowered to n = 7 here so the check stays small
+    # each array cache drops its entry before it builds the next, so the
+    # count array and the clique numbers are one array each at every n
     specs = [((3,), 2), ((3,), 3), ((3,), 4), ((3, 1), 3), ((2, 2), 2), ((2, 2), 4)]
     code = ("import gc, json, tracemalloc\n"
             "import numpy as np\n"
             "from turangood import LinearForest, extremal_search, oracle\n"
-            "oracle._HOLD_ONE_N = 7\n"
             "tracemalloc.start()\n"
             f"found = [extremal_search(LinearForest(c), 7, k) for c, k in {specs!r}]\n"
             "peak = tracemalloc.get_traced_memory()[1]\n"
@@ -253,7 +275,7 @@ def test_one_array_of_each_kind_while_holding_one():
     assert proc.returncode == 0, proc.stderr.decode()
     out = json.loads(proc.stdout)
     assert out["peak"] <= out["need"]
-    assert out["live"] in ([], ["bool"], ["uint16"], ["bool", "uint16"])
+    assert out["live"] in ([], ["uint8"], ["uint16"], ["uint16", "uint8"])
     assert out["found"] == [repr(extremal_search(LinearForest(c), 7, k)) for c, k in specs]
 
 

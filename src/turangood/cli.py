@@ -131,7 +131,8 @@ def _sweep_reports(args: argparse.Namespace) -> list[verify_mod.VerificationRepo
     if claim == "multipartite-max":
         return [verify_mod.verify_multipartite_max(forest, n, k) for n, k in _grid(args)]
     if claim == "conjecture":
-        return [verify_mod.verify_conjecture(forest, n, k, cap=args.cap,
+        ks = range(args.k[0], args.k[1] + 1) if args.k else ()
+        return [verify_mod.verify_conjecture(forest, n, k, ks=ks, cap=args.cap,
                                              witness_cap=args.witnesses)
                 for n, k in _grid(args)]
     if claim == "balance":

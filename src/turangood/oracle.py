@@ -23,35 +23,39 @@ injective placement: each placement of the forest into the complete
 graph K_n demands a fixed set of edges, and the number of placements
 whose demanded edges all lie inside G is obtained for every G at once
 by a subset-sum (zeta) transform over edge masks.  The placements are
-enumerated as one numpy array and reduced to a histogram of demanded
-masks; the transform starts from those few seeds, so its low 8 bits run
-only on the rows of 256 masks that hold one.  Counts are uint16: no
-entry exceeds the total placement count n!/(n-m)! <= 8! = 40320, and
-an overflow guard refuses any forest and n where that bound would not
-hold.  The K_{k+1}-free masks come from one uint8 array of clique
-numbers per n, built by the same transform: containing a clique is an
-up-set, so each clique mask is seeded with its order and closed upward
-with max; a mask is K_{k+1}-free iff its entry is at most k.  One thread
-scans fixed shards of masks in mask order, selecting each shard's
-K_{k+1}-free masks once: a shard that reaches the best count so far adds
-its smallest tied masks until the witness cap is met, and a higher count
-starts the ties over, so no shard is selected twice and no tie past the
-cap is collected.
+built as one numpy array, column by column, and reduced to a histogram
+of demanded masks; the transform starts from those few seeds, so its
+low 8 bits run only on the rows of 256 masks that hold one.  The bits
+below 19 run block by block on 2^19 masks that stay in cache, and only
+the bits above on the whole array.  Counts are uint16: no entry exceeds
+the total placement count n!/(n-m)! <= 8! = 40320, and an overflow
+guard refuses any forest and n where that bound would not hold.  The
+K_{k+1}-free masks come from one uint8 array of clique numbers per n,
+built by the same transform: containing a clique is an up-set, so each
+clique mask is seeded with its order and closed upward with max; a mask
+is K_{k+1}-free iff its entry is at most k.  One thread scans fixed
+shards of masks in mask order, once for every k of a request: while a
+shard is in cache, each k selects its K_{k+1}-free masks there once.
+For each k, a shard that reaches the best count so far adds its
+smallest tied masks until the witness cap is met, and a higher count
+starts the ties over, so no shard is selected twice for one k and no
+tie past the cap is collected.  Every k >= n selects every mask, so one
+selection serves all of them.
 
 Isolated vertices demand no edge: each multiplies every count by the
 number of vertices still free, a positive factor that keeps the order
 and the ties.  So the search runs once per edge core (the components of
-order >= 2), k and witness cap, and its result (the best core count and
-the tied masks, never an array) is cached; every forest with that core
-scales the count and reuses the masks.  The count array and the
-clique-number array are each held by a one-entry cache that drops its
-array before it builds the next, at every n: at most one array of each
-kind is alive, and a loop over many forests and k at n = 8 stays at
-the memory of one search (a 512 MiB count array and a 256 MiB clique
-array).  The result is exact and is spot-checked, per forest and
-uncached: the reference counter counts the Turan graph and every
-witness it returns, one graph per call, and the clique search checks
-every witness.
+order >= 2), set of k values and witness cap, and its results (the best
+core count and the tied masks of each k, never an array) are cached;
+every forest with that core, and every k of the request, scales the
+count and reuses the masks.  The count array and the clique-number
+array are each held by a one-entry cache that drops its array before it
+builds the next, at every n: at most one array of each kind is alive,
+and a loop over many forests and k at n = 8 stays at the memory of one
+search (a 512 MiB count array and a 256 MiB clique array).  The result
+is exact and is spot-checked, per forest and uncached: the reference
+counter counts the Turan graph and every witness it returns, one graph
+per call, and the clique search checks every witness.
 
 Up to n = _SMALL_N = 6, where an array has at most 2^15 entries and
 importing numpy costs more than the whole search, the search does not
@@ -71,7 +75,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from functools import lru_cache, wraps
-from itertools import chain, combinations, islice, permutations
+from itertools import combinations, islice, permutations
 from math import perm
 from types import SimpleNamespace
 
@@ -82,6 +86,7 @@ from .multipartite import PartsLike, canonical_sizes, turan_parts
 TYPE_CHECKING = False  # type checkers read it as True; spares importing typing
 if TYPE_CHECKING:
     from array import array
+    from collections.abc import Sequence
 
     import numpy as np
 
@@ -91,16 +96,26 @@ EXHAUSTIVE_CAP_LIMIT = 8
 WITNESS_CAP_DEFAULT = 10
 
 _SHARD_SIZE = 1 << 17
-"""Edge masks per scan step; bounds the scan's temporaries, which hold
-about 11 bytes a mask of one shard (see ``_peak_bytes``)."""
+"""Edge masks per scan step.  Every k of a request selects and scans a
+shard in turn while its 256 KiB of counts stay in cache, and the scan's
+temporaries hold about 11 bytes a mask of one shard and one k (see
+``_peak_bytes``)."""
 _COUNT_MAX = 0xFFFF  # largest uint16, the dtype of the count arrays
 _ROW_BITS = 8
 """Low mask bits that ``_seeded_zeta`` transforms on seeded rows only."""
+_BLOCK_BITS = 19
+"""``_seeded_zeta`` runs the bits below this one block of 2^19 masks at a
+time, 1 MiB of uint16 that stays in a 2 MiB L2 cache: an n = 7 array
+takes 2.4 ms, 2.5 ms with 2^18 masks a block and 3.2 ms with every bit
+on the whole array (2-core x86 VM)."""
 _SMALL_N = 6
 """Up to this n a search runs on Python ints and never loads numpy.  At
 n = 6 (2^15 masks) a search takes about 10 ms, less than importing
 numpy; at n = 7 each step of a lane transform over 2^21 masks takes
 longer than a whole numpy transform."""
+_NUMPY_IMPORT_BYTES = 8 << 20
+"""Upper estimate of what importing numpy allocates: 6.9 MB under
+tracemalloc with numpy 2.4 on Python 3.11, nearly all of it kept."""
 _LANE = 24
 """Bits per vertex-set lane of the reference counter: every count it
 meets is at most perm(10, 10) = 3628800, below 2^24 - 1."""
@@ -343,10 +358,12 @@ def _seeded_zeta(seeds: np.ndarray, values, nbits: int, dtype, op) -> np.ndarray
 
     A row of the 2^_ROW_BITS masks that share their high bits and hold
     no seed is still zero after the low bits, so those bits run only on
-    the seeded rows, gathered in one block; the high bits run on the
-    whole array.  Seeds must be ascending and distinct: a repeated
-    seed would be overwritten, not added, and a row gathered twice would
-    be transformed twice.
+    the seeded rows, gathered in one block.  The bits below _BLOCK_BITS
+    pair entries inside aligned blocks of 2^_BLOCK_BITS masks, so they
+    run block by block, each block in cache while its bits run; only the
+    bits above run on the whole array.  Seeds must be ascending and
+    distinct: a repeated seed would be overwritten, not added, and a row
+    gathered twice would be transformed twice.
     """
     import numpy as np
 
@@ -360,7 +377,10 @@ def _seeded_zeta(seeds: np.ndarray, values, nbits: int, dtype, op) -> np.ndarray
     block = rows[seeded]
     _zeta(block.reshape(-1), low, op)
     rows[seeded] = block
-    _zeta(a, nbits, op, low)
+    mid = max(low, min(nbits, _BLOCK_BITS))
+    for block in a.reshape(-1, 1 << mid):
+        _zeta(block, mid, op, low)
+    _zeta(a, nbits, op, mid)
     return a
 
 
@@ -426,6 +446,25 @@ def _clique_free_selector(n: int, r: int, lo: int, hi: int) -> np.ndarray:
     return _clique_numbers(n)[lo:hi] < r
 
 
+def _placements(n: int, m: int) -> np.ndarray:
+    """The m-permutations of range(n), m <= n, as intp rows in the order
+    of ``itertools.permutations``: those of range(s) taken j are, for
+    each f < s, f before those of range(s - 1) taken j - 1 with every
+    entry >= f moved up by one.  At n = m = 7 this takes a third of the
+    time of iterating over tuples; intp, not int8, reuses numpy loops
+    that the engine pages in anyway."""
+    import numpy as np
+
+    rows = np.zeros((1, 0), dtype=np.intp)
+    for j in range(1, m + 1):
+        s = n - m + j
+        first = np.repeat(np.arange(s), len(rows))
+        rest = np.tile(rows, (s, 1))
+        rest += rest >= first[:, None]
+        rows = np.column_stack((first, rest))
+    return rows
+
+
 def _placement_histogram(n: int, core: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The distinct edge masks that the placements of a forest into K_n
     demand, ascending, and how many placements demand each one.
@@ -438,8 +477,9 @@ def _placement_histogram(n: int, core: tuple[int, ...]) -> tuple[np.ndarray, np.
 
     flags = back_edge_flags(core)
     m = len(flags)
-    placed = np.fromiter(chain.from_iterable(permutations(range(n), m)), dtype=np.int8,
-                         count=perm(n, m) * m).reshape(perm(n, m), m)
+    if m > n:  # no placement
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.intp)
+    placed = _placements(n, m)
     bit = np.array(_edge_bits(n), dtype=np.int64).reshape(n, n)  # 2-D at n = 0 too
     demanded = np.zeros(len(placed), dtype=np.int64)
     for pos in range(1, m):
@@ -493,27 +533,32 @@ def _shard_ties(counts: np.ndarray, ok: np.ndarray, best: int, lo: int, hi: int,
     return [lo + int(m) for m in np.flatnonzero(tied)[:limit]]
 
 
-def _scan(counts: np.ndarray, select, witness_cap: int) -> tuple[int, tuple[int, ...]]:
-    """Best count among the selected masks (0 when none is selected) and
-    the first witness_cap selected masks that reach it; ``select(lo,
-    hi)`` flags the selected masks in [lo, hi).
+def _scan(counts: np.ndarray, selects, witness_cap: int) -> list[tuple[int, tuple[int, ...]]]:
+    """For each ``select`` of ``selects``, the best count among the masks
+    it selects (0 when none is selected) and the first witness_cap
+    selected masks that reach it; ``select(lo, hi)`` flags the selected
+    masks in [lo, hi).
 
-    One pass over fixed shards in mask order, each selected once: a
-    shard whose own best is the best so far adds its ties until the cap
-    is met, and a higher best starts the ties over."""
-    best, ties = -1, []
+    One pass over fixed shards in mask order, and every select selects
+    each shard once, while the shard's counts are in cache: a shard whose
+    own best is the best so far adds its ties until the cap is met, and a
+    higher best starts the ties over."""
+    found = [(-1, []) for _ in selects]
     for lo in range(0, counts.size, _SHARD_SIZE):
         hi = min(lo + _SHARD_SIZE, counts.size)
-        ok = select(lo, hi)
-        shard_best = _scan_shard(counts, ok, lo, hi)
-        if shard_best > best:
-            best, ties = shard_best, []
-        if shard_best == best and len(ties) < witness_cap:
-            ties += _shard_ties(counts, ok, best, lo, hi, witness_cap - len(ties))
-        # free the flags before the next shard's are built, so the
-        # allocator reuses their pages instead of faulting in new ones
-        del ok
-    return best, tuple(ties)
+        for i, select in enumerate(selects):
+            best, ties = found[i]
+            ok = select(lo, hi)
+            shard_best = _scan_shard(counts, ok, lo, hi)
+            if shard_best > best:
+                best, ties = shard_best, []
+            if shard_best == best and len(ties) < witness_cap:
+                ties += _shard_ties(counts, ok, best, lo, hi, witness_cap - len(ties))
+            found[i] = best, ties
+            # free the flags before the next ones are built, so the
+            # allocator reuses their pages instead of faulting in new ones
+            del ok
+    return [(best, tuple(ties)) for best, ties in found]
 
 
 def _lane_sums(seeds, nbits: int) -> array:
@@ -541,20 +586,22 @@ def _lane_sums(seeds, nbits: int) -> array:
 
 
 @lru_cache(maxsize=256)
-def _core_search(n: int, core: tuple[int, ...], k: int,
-                 witness_cap: int) -> tuple[int, tuple[int, ...]]:
-    """Best injective homomorphism count of the edge core over the
-    K_{k+1}-free graphs on n labeled vertices, and the first witness_cap
-    masks that reach it.  Holds no array, so caching it is cheap: every
-    forest with this core reuses the scan.
+def _core_search(n: int, core: tuple[int, ...], ks: tuple[int, ...],
+                 witness_cap: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """For each k of ks, the best injective homomorphism count of the
+    edge core over the K_{k+1}-free graphs on n labeled vertices, and the
+    first witness_cap masks that reach it.  The counts are built once
+    for every k, and one scan selects every k on each shard.  Holds no
+    array, so caching it is cheap: every forest with this core reuses
+    the scan.
 
     Up to _SMALL_N the placement histogram and the clique masks go
     through ``_lane_sums`` instead, with the same results.  No sum
     reaches 2^16: a count is at most perm(n, n) placements and a clique
     count at most C(n, n // 2), 720 and 20 at n = 6."""
-    # the pre-flight runs here, so a search whose core is cached reads
-    # no /proc/meminfo
-    need = _peak_bytes(n)
+    # the pre-flight runs here, once per batch, so a search whose core
+    # is cached reads no /proc/meminfo
+    need = _peak_bytes(n, len(ks), witness_cap)
     avail = _mem_available()
     if avail is not None and need > avail:
         raise ValueError(f"n={n} needs about {need >> 20} MiB of arrays, "
@@ -569,16 +616,19 @@ def _core_search(n: int, core: tuple[int, ...], k: int,
         # as in _inj_counts_all_graphs: the full mask holds every placement
         if counts[-1] != perm(n, sum(core)):
             raise RuntimeError("subset-sum transform integrity check failed")
-        # a mask is K_{k+1}-free when no clique lies inside it
-        cliques = _lane_sums([(c, 1) for c in _clique_masks(n, k + 1)], nbits)
-        best = max((c for c, q in zip(counts, cliques) if not q), default=0)
-        ties = (mask for mask, (c, q) in enumerate(zip(counts, cliques))
-                if c == best and not q)
-        return best, tuple(islice(ties, witness_cap))
+        found = []
+        for k in ks:
+            # a mask is K_{k+1}-free when no clique lies inside it
+            cliques = _lane_sums([(c, 1) for c in _clique_masks(n, k + 1)], nbits)
+            best = max((c for c, q in zip(counts, cliques) if not q), default=0)
+            ties = (mask for mask, (c, q) in enumerate(zip(counts, cliques))
+                    if c == best and not q)
+            found.append((best, tuple(islice(ties, witness_cap))))
+        return tuple(found)
     # counts first: the first numpy import lands in the counting stage
     counts = _inj_counts_all_graphs(n, core)
-    return _scan(counts, lambda lo, hi: _clique_free_selector(n, k + 1, lo, hi),
-                 witness_cap)
+    return tuple(_scan(counts, [lambda lo, hi, r=k + 1: _clique_free_selector(n, r, lo, hi)
+                                for k in ks], witness_cap))
 
 
 def _mem_available() -> int | None:
@@ -593,9 +643,11 @@ def _mem_available() -> int | None:
     return None
 
 
-def _peak_bytes(n: int) -> int:
-    """Upper estimate of the bytes one search allocates: its arrays and
-    the reference counter's ints.
+def _peak_bytes(n: int, batch: int = 1, witness_cap: int = WITNESS_CAP_DEFAULT) -> int:
+    """Upper estimate of the bytes one batch of searches allocates, for
+    ``batch`` values of k: its arrays, the witnesses it keeps, the
+    reference counter's ints, and the numpy import when a search from
+    n > _SMALL_N is the first in the process to load numpy.
 
     Up to _SMALL_N the same sum covers the lane path, which holds about
     six 2-byte lanes a mask at its peak (the count lanes, the int under
@@ -605,13 +657,20 @@ def _peak_bytes(n: int) -> int:
     shard = min(size, _SHARD_SIZE)
     # one uint16 count array and one uint8 clique-number array, each
     # dropped before the next is built; then the scan's temporaries of
-    # one shard: the bool selection, the masked uint16 product of its max
-    # or its bool tie mask, and the int64 tie indices.  While
-    # an array is built: at most n! placements, each an int8 per vertex
-    # plus about 48 bytes of int64 masks, seeds and temporaries, and the
-    # gathered block of seeded uint16 rows, at most one row per seed
-    build = perm(n, n) * (n + 48) + min(perm(n, n) << _ROW_BITS, size) * 2
-    return 3 * size + shard * (1 + 2 + 8) + build + _ref_peak_bytes(n)
+    # one shard and one k: the bool selection, the masked uint16 product
+    # of its max or its bool tie mask, and the int64 tie indices.  While
+    # an array is built: at most n! placements, each about 24 bytes a
+    # vertex of intp rows and their temporaries plus 48 bytes of int64
+    # masks, seeds and temporaries, and the gathered block of seeded
+    # uint16 rows, at most one row per seed
+    build = perm(n, n) * (24 * n + 48) + min(perm(n, n) << _ROW_BITS, size) * 2
+    # every k keeps its tied masks, ints in a list and then a tuple, and
+    # one search at a time builds a SmallGraph for each of its witnesses
+    kept = min(witness_cap, size)
+    witnesses = (batch * 64 + 256) * kept
+    numpy = _NUMPY_IMPORT_BYTES if n > _SMALL_N and "numpy" not in sys.modules else 0
+    return (3 * size + shard * (1 + 2 + 8) + build + witnesses + numpy
+            + _ref_peak_bytes(n))
 
 
 def _ref_peak_bytes(n: int) -> int:
@@ -623,7 +682,7 @@ def _ref_peak_bytes(n: int) -> int:
     return (3 * n + 8) * ((4 << n) + 32) + (160 << n)
 
 
-def extremal_search(forest: LinearForest, n: int, k: int, *,
+def extremal_search(forest: LinearForest, n: int, k: int, *, ks: Sequence[int] = (),
                     cap: int = EXHAUSTIVE_CAP_DEFAULT,
                     witness_cap: int = WITNESS_CAP_DEFAULT) -> ExtremalResult:
     """Maximize the forest's copy count over all K_{k+1}-free graphs on n
@@ -632,6 +691,10 @@ def extremal_search(forest: LinearForest, n: int, k: int, *,
     Refuses n above the cap (default 7, hard limit 8), and any n whose
     arrays would not fit in the memory available now.  Witnesses are the
     smallest maximizing edge masks.  The scan runs on one thread.
+
+    ``ks``, the ascending k values of the request (a range costs O(n)),
+    changes no result: the first search scans for all of them at once and
+    caches every result, which the searches for the other k read.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -647,7 +710,12 @@ def extremal_search(forest: LinearForest, n: int, k: int, *,
     # has no placement: every count is 0 and every selected mask ties,
     # as under the empty core (factor 0), whose counts are all 1.
     core, factor = edge_core(forest.components, n)
-    core_max, witness_masks = _core_search(n, core, k, witness_cap)
+    # every k >= n selects every mask, as k = n does, and of ascending ks
+    # the first n + 1 already give every min(j, n).  A value below 1 is
+    # refused by its own call
+    batch = tuple(sorted({min(j, n) for j in (k, *ks[:n + 1]) if j >= 1}))
+    found = _core_search(n, core, batch, witness_cap)
+    core_max, witness_masks = found[batch.index(min(k, n))]
     max_inj = core_max * factor
 
     max_count = copies_from_injective_homs(max_inj, aut_order(forest))

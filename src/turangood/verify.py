@@ -14,7 +14,7 @@ is an output of the run, never an input).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import islice
 from operator import index
 
@@ -347,12 +347,13 @@ def verify_isolated_identity(forest: LinearForest,
                               instances_checked=checked)
 
 
-def verify_conjecture(forest: LinearForest, n: int, k: int, *,
+def verify_conjecture(forest: LinearForest, n: int, k: int, *, ks: Sequence[int] = (),
                       cap: int = EXHAUSTIVE_CAP_DEFAULT,
                       witness_cap: int = WITNESS_CAP_DEFAULT) -> VerificationReport:
     """Exhaustively check that no K_{k+1}-free graph on n labeled
-    vertices holds more copies of the forest than the Turan graph."""
-    result = extremal_search(forest, n, k, cap=cap, witness_cap=witness_cap)
+    vertices holds more copies of the forest than the Turan graph; ``ks``
+    is passed on to ``extremal_search``."""
+    result = extremal_search(forest, n, k, ks=ks, cap=cap, witness_cap=witness_cap)
     params = {"forest": str(forest), "n": n, "k": k}
     if result.max_count == result.turan_count:
         return VerificationReport("conjecture", params, HOLDS,

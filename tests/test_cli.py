@@ -305,6 +305,20 @@ class TestDeterminism:
             outputs.append(out)
         assert len(set(outputs)) == 1
 
+    def test_k_range_scans_once_per_n(self, capsys):
+        # the search for the first k at each n scans for the whole --k
+        # range; the later k read its results, as a repeat run reads all
+        clear_engine_caches()
+        outputs = []
+        for repeat in range(2):
+            code, out, _ = invoke(capsys, "verify", "conjecture", "--forest", "3,2",
+                                  "--n", "5..7", "--k", "2..4", "--format", "json")
+            assert code == 0
+            info = oracle._core_search.cache_info()
+            assert (info.hits, info.misses) == (6 + 9 * repeat, 3)
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
 
 
 class TestInvalidEnvironment:

@@ -2,7 +2,7 @@ import random
 import tracemalloc
 import weakref
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 from math import perm
 
 import numpy as np
@@ -646,6 +646,49 @@ class TestSeededEngine:
         _zeta(dense, nbits, np.add)
         assert oracle._lane_sums(seeds.items(), nbits).tolist() == dense.tolist()
 
+    @pytest.mark.parametrize("row_bits, block_bits", [(2, 5), (3, 3), (4, 2)])
+    def test_blocked_zeta_matches_dense(self, monkeypatch, row_bits, block_bits):
+        # nbits below, at and above the block: the bits between the rows
+        # and the block run block by block, the rest on the whole array;
+        # a block below the rows is as large as a row
+        monkeypatch.setattr(oracle, "_ROW_BITS", row_bits)
+        monkeypatch.setattr(oracle, "_BLOCK_BITS", block_bits)
+        rng = np.random.default_rng(row_bits * 10 + block_bits)
+        for nbits in range(0, block_bits + 4):
+            for density in (0.05, 0.5, 1.0):
+                seeds = np.flatnonzero(rng.random(1 << nbits) < density)
+                values = rng.integers(0, 64, seeds.size).astype(np.uint16)
+                for op, dtype, vals in [(np.add, np.uint16, values),
+                                        (np.maximum, np.uint8, values.astype(np.uint8)),
+                                        (np.logical_or, bool, True)]:
+                    dense = np.zeros(1 << nbits, dtype=dtype)
+                    dense[seeds] = vals
+                    _zeta(dense, nbits, op)
+                    got = _seeded_zeta(seeds, vals, nbits, dtype, op)
+                    assert np.array_equal(got, dense), (nbits, density, op)
+
+    def test_placements_histogram(self):
+        # the placements built by numpy are the m-permutations of
+        # itertools.permutations, in its order, and give its histogram for
+        # every forest of m <= n <= 7 vertices; a forest of more than n
+        # has none
+        for n in range(0, 8):
+            bits = _edge_bits(n)
+            for m in range(0, n + 1):
+                want = [list(p) for p in permutations(range(n), m)]
+                assert oracle._placements(n, m).tolist() == want, (n, m)
+            for comps in [()] + all_forests(n + 2):
+                m = sum(comps)
+                demanded, hits = _placement_histogram(n, comps)
+                if m > n:
+                    assert demanded.size == hits.size == 0, (n, comps)
+                    continue
+                flags = oracle.back_edge_flags(comps)
+                want = Counter(sum(bits[p[i - 1]][p[i]] for i in range(1, m) if flags[i])
+                               for p in permutations(range(n), m))
+                assert demanded.tolist() == sorted(want), (n, comps)
+                assert hits.tolist() == [want[d] for d in sorted(want)], (n, comps)
+
     def test_histogram_matches_recursion(self):
         for n in range(0, 7):
             # the empty core, and every forest up to one vertex past n
@@ -665,7 +708,8 @@ def brute_scan(counts, ok, cap):
 
 
 def shards_of(ok):
-    """The selector ``_scan`` takes: the flags of the masks in [lo, hi)."""
+    """A selector of the kind ``_scan`` takes: the flags of the masks in
+    [lo, hi)."""
     return lambda lo, hi: ok[lo:hi]
 
 
@@ -684,7 +728,7 @@ class TestTwoPhaseScan:
                 ok = rng.random(size) < rng.choice([0.0, 0.01, 0.3, 1.0])
                 for cap in (0, 1, 3, 10, size + 1):
                     want = brute_scan(counts, ok, cap)
-                    assert oracle._scan(counts, shards_of(ok), cap) == want, (size, top, cap)
+                    assert oracle._scan(counts, [shards_of(ok)], cap) == [want], (size, top, cap)
 
     @pytest.mark.parametrize("shard_bits", [4, 10])
     def test_edge_cases(self, monkeypatch, shard_bits):
@@ -693,14 +737,14 @@ class TestTwoPhaseScan:
         size = 4 * shard
         counts = np.zeros(size, dtype=np.uint16)
         nothing = np.zeros(size, dtype=bool)
-        assert oracle._scan(counts + 5, shards_of(nothing), 10) == (0, ())
+        assert oracle._scan(counts + 5, [shards_of(nothing)], 10) == [(0, ())]
         # best 0: the unselected masks 0..2 also count 0 and must not tie
         ok = np.zeros(size, dtype=bool)
         ok[[3, shard + 1, size - 1]] = True
         counts[3:] = 7
         counts[[3, shard + 1, size - 1]] = 0
-        assert oracle._scan(counts, shards_of(ok), 10) == (0, (3, shard + 1, size - 1))
-        assert oracle._scan(counts, shards_of(ok), 0) == (0, ())
+        assert oracle._scan(counts, [shards_of(ok)], 10) == [(0, (3, shard + 1, size - 1))]
+        assert oracle._scan(counts, [shards_of(ok)], 0) == [(0, ())]
         # best > 0: unselected masks with a higher and with the same count
         counts[:] = 2
         ok[:] = True
@@ -709,7 +753,7 @@ class TestTwoPhaseScan:
         tied = [1, 2, shard - 2, shard - 1, shard, shard + 1, 3 * shard]
         counts[tied] = 5
         for cap in range(7):
-            assert oracle._scan(counts, shards_of(ok), cap) == (5, tuple(tied[2:2 + cap]))
+            assert oracle._scan(counts, [shards_of(ok)], cap) == [(5, tuple(tied[2:2 + cap]))]
 
     def test_tie_pass_stops_at_the_completing_shard(self, monkeypatch):
         shard = 16
@@ -730,11 +774,11 @@ class TestTwoPhaseScan:
             counts[[s * shard + 3, s * shard + 9]] = 4
         for cap, last in [(1, 0), (2, 0), (3, 2), (4, 2), (5, 3), (10, 5), (11, 5)]:
             visited.clear()
-            best, ties = oracle._scan(counts, shards_of(ok), cap)
+            [(best, ties)] = oracle._scan(counts, [shards_of(ok)], cap)
             assert best == 4 and len(ties) == min(cap, 10)
             assert visited == [s * shard for s in (0, 2, 3, 4, 5) if s <= last]
         visited.clear()
-        assert oracle._scan(counts, shards_of(ok), 0) == (4, ())
+        assert oracle._scan(counts, [shards_of(ok)], 0) == [(4, ())]
         assert visited == []
 
     @pytest.mark.parametrize("cap", [0, 1, 5, 100])
@@ -752,8 +796,30 @@ class TestTwoPhaseScan:
             selected.append((lo, hi))
             return ok[lo:hi]
 
-        assert oracle._scan(counts, select, cap) == brute_scan(counts, ok, cap)
+        assert oracle._scan(counts, [select], cap) == [brute_scan(counts, ok, cap)]
         assert selected == [(lo, lo + shard) for lo in range(0, size, shard)]
+
+    @pytest.mark.parametrize("cap", [0, 1, 5, 100])
+    def test_selects_share_each_shard(self, monkeypatch, cap):
+        # every select of one scan takes each shard in turn, once, and
+        # gets what a scan of its own would give
+        shard = 16
+        monkeypatch.setattr(oracle, "_SHARD_SIZE", shard)
+        rng = np.random.default_rng(cap)
+        size = 6 * shard
+        counts = rng.integers(0, 4, size).astype(np.uint16)
+        oks = [rng.random(size) < p for p in (0.0, 0.2, 0.7, 1.0)]
+        selected = []
+
+        def selector(i):
+            def select(lo, hi):
+                selected.append((lo, i))
+                return oks[i][lo:hi]
+            return select
+
+        got = oracle._scan(counts, [selector(i) for i in range(len(oks))], cap)
+        assert got == [brute_scan(counts, ok, cap) for ok in oks]
+        assert selected == [(lo, i) for lo in range(0, size, shard) for i in range(len(oks))]
 
 
 class TestCoreSearchCache:
@@ -789,6 +855,45 @@ class TestCoreSearchCache:
         assert oracle._core_search.cache_info().hits > 0
 
 
+class TestBatchedSearch:
+    """One search over several k equals one search per k, on both paths;
+    the first search of a request scans for every k of it."""
+
+    CORES = [()] + [c for c in all_forests(5) if min(c) >= 2]
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_batch_equals_one_search_per_k(self, n):
+        search = oracle._core_search.__wrapped__
+        # one k, non-adjacent k, and k at and past n
+        for ks in [(3,), (1, 3), (2, 4, n, n + 3)]:
+            for core in self.CORES:
+                for cap in (0, 3):
+                    got = search(n, core, ks, cap)
+                    assert got == tuple(search(n, core, (k,), cap)[0] for k in ks), \
+                        (n, core, ks, cap)
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_request_searches_once(self, n):
+        # every k of a request reads the batch that its first search
+        # scanned, and gets what a search of its own from cold caches gets
+        forests = [LinearForest(c) for c in [(3,), (3, 1), (2, 2)]]
+        ks = (1, 2, 4, n, n + 5)
+        alone = {}
+        for forest in forests:
+            for k in ks:
+                clear_engine_caches()
+                alone[forest, k] = extremal_search(forest, n, k, witness_cap=3)
+        for request in [ks, range(1, n + 6), range(1, 100000)]:
+            clear_engine_caches()
+            for forest in forests:
+                for k in ks:
+                    got = extremal_search(forest, n, k, ks=request, witness_cap=3)
+                    assert got == alone[forest, k], (request, forest, k)
+            # one batch per edge core: (3,) and (3, 1) share theirs
+            info = oracle._core_search.cache_info()
+            assert (info.misses, info.hits) == (2, 13), (request, info)
+
+
 class TestLanePath:
     """Up to oracle._SMALL_N the search runs on Python ints; with _SMALL_N
     patched to -1 the numpy path runs, and both must give the same
@@ -799,17 +904,19 @@ class TestLanePath:
     CORES = [()] + [c for c in all_forests(6) if min(c) >= 2]
 
     def test_core_search_matches_numpy(self, monkeypatch):
+        # one batch holds every k = 0..5
         search = oracle._core_search.__wrapped__
-        specs = [(n, core, k, cap) for n in range(7) for core in self.CORES
-                 for k in range(6) for cap in (0, 1, 10)]
+        ks = tuple(range(6))
+        specs = [(n, core, ks, cap) for n in range(7) for core in self.CORES
+                 for cap in (0, 1, 10)]
         lanes = [search(*spec) for spec in specs]
         monkeypatch.setattr(oracle, "_SMALL_N", -1)
         for spec, got in zip(specs, lanes):
             assert got == search(*spec), spec
         # k = 0 selects nothing, as a K_1-free graph has no vertex; k = 1
         # selects only the edgeless graph
-        assert lanes[specs.index((6, (2,), 0, 10))] == (0, ())
-        assert lanes[specs.index((6, (2,), 1, 10))] == (0, (0,))
+        assert lanes[specs.index((6, (2,), ks, 10))][0] == (0, ())
+        assert lanes[specs.index((6, (2,), ks, 10))][1] == (0, (0,))
 
     @pytest.mark.parametrize("path", ["lanes", "arrays"])
     def test_integrity_check(self, monkeypatch, capsys, path):
@@ -953,7 +1060,7 @@ class TestSelfCheck:
 
     @staticmethod
     def faulty_scans(n):
-        best, masks = oracle._core_search(n, (2,), 2, WITNESS_CAP_DEFAULT)
+        [(best, masks)] = oracle._core_search(n, (2,), (2,), WITNESS_CAP_DEFAULT)
         assert best == 2 * (n * n // 4) and masks
         return [
             # a wrong maximum (even, as every count of one edge is): the
@@ -970,7 +1077,8 @@ class TestSelfCheck:
         argv = ["verify", "conjecture", "--forest", "2", "--n", str(n), "--k", "2"]
         for scan, message in self.faulty_scans(n):
             with monkeypatch.context() as mp:
-                mp.setattr(oracle, "_core_search", lambda n, core, k, cap, scan=scan: scan)
+                mp.setattr(oracle, "_core_search",
+                           lambda n, core, ks, cap, scan=scan: (scan,) * len(ks))
                 with pytest.raises(RuntimeError, match=message):
                     extremal_search(LinearForest((2,)), n, 2)
                 assert run(argv) == 3

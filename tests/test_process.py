@@ -235,6 +235,36 @@ class TestTracedRuns:
         assert out["metrics"]["oracle.array_bytes"] >= 2 << 21
         assert out["metrics"]["oracle.survivor_ratio"] == (133_501 + 1_486_597) / (2 << 21)
 
+    def test_one_pass_selects_each_k_and_shard_once(self):
+        # the search for k = 2 builds the count array once and selects
+        # every shard for k = 2, 3 and 4; those for k = 3 and 4 read the
+        # batch.  2,062,844 labeled graphs on 7 vertices are K_5-free
+        argv = ["verify", "conjecture", "--forest", "3", "--n", "7", "--k", "2..4"]
+        code = "\n".join([
+            "import contextlib, io, json, sys",
+            f"sys.path.insert(0, {BENCH!r})",
+            "from spans import NAME, Tracer, layer_metrics",
+            "from turangood import cli, oracle",
+            "tracer = Tracer()",
+            "tracer.install()",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    rc = cli.run({argv!r})",
+            "names = [s[NAME] for s in tracer.spans]",
+            "print(json.dumps({'rc': rc, 'metrics': layer_metrics([tracer.spans], [1.0], 1.0),",
+            "                  'shard': oracle._SHARD_SIZE,",
+            "                  'builds': names.count('oracle._inj_counts_all_graphs'),",
+            "                  'selections': names.count('oracle._clique_free_selector')}))",
+        ])
+        proc = python("-c", code)
+        assert proc.returncode == 0, proc.stderr.decode()
+        out = json.loads(proc.stdout)
+        assert out["rc"] == 0
+        assert out["builds"] == 1
+        assert out["selections"] == 3 * (1 << 21) // out["shard"]
+        assert out["metrics"]["oracle.array_bytes"] == 2 << 21
+        assert out["metrics"]["oracle.survivor_ratio"] == (
+            (133_501 + 1_486_597 + 2_062_844) / (3 << 21))
+
 
 def test_one_count_array_outlives_searches():
     code = ("import gc\n"
@@ -279,6 +309,46 @@ def test_one_array_of_each_kind_while_holding_one():
     assert out["found"] == [repr(extremal_search(LinearForest(c), 7, k)) for c, k in specs]
 
 
+def fresh_peak(n: int, specs: list, ks, witness_cap: int) -> dict:
+    """Peak traced bytes of ``extremal_search`` on each (components, k) of
+    specs, with ``ks`` and ``witness_cap``, in a fresh interpreter that
+    has not imported numpy, and the pre-flight estimate of one batch."""
+    code = ("import json, sys, tracemalloc\n"
+            "from turangood import LinearForest, extremal_search, oracle\n"
+            "fresh = 'numpy' not in sys.modules\n"
+            f"ks, cap = {ks!r}, {witness_cap}\n"
+            f"need = oracle._peak_bytes({n}, len({{min(k, {n}) for k in ks}}), cap)\n"
+            "tracemalloc.start()\n"
+            f"for comps, k in {specs!r}:\n"
+            f"    extremal_search(LinearForest(comps), {n}, k, ks=ks, witness_cap=cap)\n"
+            "peak = tracemalloc.get_traced_memory()[1]\n"
+            "tracemalloc.stop()\n"
+            "print(json.dumps({'fresh': fresh, 'peak': peak, 'need': need,\n"
+            f"                  'loaded': oracle._peak_bytes({n}, len(ks), cap)}}))\n")
+    proc = python("-c", code)
+    assert proc.returncode == 0, proc.stderr.decode()
+    out = json.loads(proc.stdout)
+    assert out["fresh"]
+    return out
+
+
+def test_peak_estimate_covers_numpy_import():
+    # the first search from n = 7 in a process imports numpy, which the
+    # estimate adds until numpy is loaded
+    out = fresh_peak(7, [((3,), 2)], (2,), 10)
+    assert out["peak"] <= out["need"], out
+    assert out["loaded"] < out["need"]
+
+
+@pytest.mark.parametrize("comps", [(4, 3), (1,) * 6], ids=str)
+@pytest.mark.parametrize("ks", [(2,), (2, 5)], ids=str)
+def test_peak_estimate_covers_batch_witnesses(comps, ks):
+    # a forest larger than n, or one of n isolated vertices, ties on
+    # every selected mask, so every k of the batch keeps 5000 witnesses
+    out = fresh_peak(6, [(comps, k) for k in ks], ks, 5000)
+    assert out["peak"] <= out["need"], out
+
+
 @pytest.mark.parametrize("n", [4, 7])  # either side of oracle._SMALL_N
 def test_self_check_holds_under_optimize(n):
     # the engine's self-check raises, not asserts: under python -O a scan
@@ -286,8 +356,8 @@ def test_self_check_holds_under_optimize(n):
     code = ("import sys\n"
             "from turangood import oracle\n"
             "from turangood.cli import run\n"
-            f"best, masks = oracle._core_search({n}, (2,), 2, 10)\n"
-            "oracle._core_search = lambda n, core, k, cap: (best + 2, masks)\n"
+            f"[(best, masks)] = oracle._core_search({n}, (2,), (2,), 10)\n"
+            "oracle._core_search = lambda n, core, ks, cap: ((best + 2, masks),) * len(ks)\n"
             "print(masks[0], flush=True)\n"
             f"sys.exit(run(['verify', 'conjecture', '--forest', '2', '--n', '{n}', '--k', '2']))\n")
     proc = python("-O", "-c", code)

@@ -1,13 +1,14 @@
 """Command line front end.
 
 Subcommands: count, verify, table.  Exit codes: 0 when everything
-computed or verified, 1 when a verifier found a counterexample, 2 on
-usage or parse errors, 3 on an internal error of an engine (a failed
-self-check, an overflow guard, running out of memory or of recursion
-depth), reported as "turangood: internal error: ..." on stderr with no
-traceback.  Machine formats (json, csv) are the contract;
-human output mirrors the JSON fields one per line, except that
-``table --format human`` prints CSV.
+computed or verified, 1 when the most severe verdict among the reports
+of ``verify`` is "counterexample", 2 on usage or parse errors, 3 on an
+internal error of an engine (a failed self-check, an overflow guard,
+running out of memory or of recursion depth), reported as "turangood:
+internal error: ..." on stderr with no traceback.  New verdicts go in
+``verify.VERDICTS``, new claims in ``CLAIMS``.  Machine formats (json,
+csv) are the contract; human output mirrors the JSON fields one per
+line, except that ``table --format human`` prints CSV.
 
 Every command builds its result once, as JSON objects, CSV rows under
 one header and human blocks, and ``_write`` alone prints it in the
@@ -36,19 +37,16 @@ import json
 import os
 import sys
 from collections.abc import Iterator
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .forest import LinearForest, aut_order, copies_from_injective_homs
-from .multipartite import PartSizes, count_copies_turan, count_injective_homs, turan_parts
+from .multipartite import (PartSizes, _turan_k, count_copies_turan, count_injective_homs,
+                           turan_parts)
 from .oracle import EXHAUSTIVE_CAP_DEFAULT, WITNESS_CAP_DEFAULT
 from . import verify as verify_mod
 
 ENV_PREFIX = "TURANGOOD_"
-CLAIMS = ("multipartite-max", "balance", "odd-identity", "even-identity",
-          "isolated-identity", "conjecture")
 FORMATS = ("human", "json", "csv")
-K_CLAIMS = ("multipartite-max", "conjecture")
-"""The verify claims that read --k, as ``table`` does; the others ignore it."""
 ENV_NAMES = ("FORMAT", "CAP", "WORKERS", "WITNESSES")
 """The environment defaults that ``build_parser`` reads."""
 
@@ -76,7 +74,7 @@ def _parse_turan(text: str) -> PartSizes:
         n, k = int(n_s), int(k_s)
     except ValueError:
         raise ValueError(f"invalid Turan shorthand {text!r}; expected n/k") from None
-    return turan_parts(n, k)
+    return turan_parts(n, _turan_k(n, k))
 
 
 def _write(fmt: str, objs, header: list[str], rows: list[list],
@@ -120,45 +118,51 @@ def _grid(args: argparse.Namespace) -> Iterator[tuple[int, int]]:
     """The (n, k) pairs of --n x --k, k outer."""
     if args.n is None or args.k is None:
         raise ValueError(f"{args.claim} needs --n and --k")
-    for k in range(args.k[0], args.k[1] + 1):
-        for n in range(args.n[0], args.n[1] + 1):
-            yield n, k
+    return ((n, k) for k in range(args.k[0], args.k[1] + 1)
+            for n in range(args.n[0], args.n[1] + 1))
 
 
-def _sweep_reports(args: argparse.Namespace) -> list[verify_mod.VerificationReport]:
-    forest = args.forest
-    claim = args.claim
-    if claim == "multipartite-max":
-        return [verify_mod.verify_multipartite_max(forest, n, k) for n, k in _grid(args)]
-    if claim == "conjecture":
-        ks = range(args.k[0], args.k[1] + 1) if args.k else ()
-        return [verify_mod.verify_conjecture(forest, n, k, ks=ks, cap=args.cap,
-                                             witness_cap=args.witnesses)
-                for n, k in _grid(args)]
-    if claim == "balance":
-        if args.parts is None:
-            raise ValueError("balance needs --parts")
-        return [verify_mod.verify_balancing_monotone(forest, args.parts)]
-    v = forest.total_vertices
+def _balance(args: argparse.Namespace) -> list:
+    if args.parts is None:
+        raise ValueError("balance needs --parts")
+    return [verify_mod.verify_balancing_monotone(args.forest, args.parts)]
+
+
+def _n_window(args: argparse.Namespace) -> range:
+    v = args.forest.total_vertices
     lo, hi = args.n or (v, v + 4)  # default window [|V(H)|, |V(H)| + 4]
-    n_range = range(lo, hi + 1)
-    if claim == "isolated-identity":
-        return [verify_mod.verify_isolated_identity(forest, n_range)]
-    if claim == "odd-identity":
-        orders = [c for c in forest.components if c % 2 == 1 and c >= 3]
-        verifier, wanted = verify_mod.verify_odd_extension_identity, "odd component of order >= 3"
-    elif claim == "even-identity":
-        orders = [c for c in forest.components if c % 2 == 0]
-        verifier, wanted = verify_mod.verify_even_extension_identity, "even component"
-    else:
-        raise ValueError(f"unknown claim {claim!r}")
+    return range(lo, hi + 1)
+
+
+def _identity(parity: int, verifier: str, args: argparse.Namespace) -> list:
+    """One report per component order c > 1 with c % 2 == parity."""
+    orders = sorted({c for c in args.forest.components if c % 2 == parity and c > 1})
     if not orders:
-        raise ValueError(f"forest {forest} has no {wanted}")
-    return [verifier(forest, order, n_range) for order in sorted(set(orders))]
+        raise ValueError(f"forest {args.forest} has no "
+                         + ("odd component of order >= 3" if parity else "even component"))
+    n_range = _n_window(args)
+    return [getattr(verify_mod, verifier)(args.forest, order, n_range) for order in orders]
+
+
+# Each claim, in ``verify -h`` order: (reads --k and refuses k < 1, as ``table``
+# does; builder of its reports, which looks its verifier up on verify_mod on call)
+CLAIMS = {
+    "multipartite-max": (True, lambda args: [
+        verify_mod.verify_multipartite_max(args.forest, n, k) for n, k in _grid(args)]),
+    "balance": (False, _balance),
+    "odd-identity": (False, partial(_identity, 1, "verify_odd_extension_identity")),
+    "even-identity": (False, partial(_identity, 0, "verify_even_extension_identity")),
+    "isolated-identity": (False, lambda args: [
+        verify_mod.verify_isolated_identity(args.forest, _n_window(args))]),
+    "conjecture": (True, lambda args: [
+        verify_mod.verify_conjecture(args.forest, n, k, ks=range(args.k[0], args.k[1] + 1),
+                                     cap=args.cap, witness_cap=args.witnesses)
+        for n, k in _grid(args)]),
+}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    reports = _sweep_reports(args)
+    reports = CLAIMS[args.claim][1](args)
     dicts = [r.to_json_dict() for r in reports]
     rows, blocks = [], []
     for d in dicts:
@@ -176,7 +180,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         blocks.append("\n".join(lines))
     _write(args.format, dicts,
            ["claim", "params", "verdict", "instances_checked", "counterexample"], rows, blocks)
-    return 0 if all(r.holds for r in reports) else 1
+    return max((verify_mod.VERDICTS[r.verdict] for r in reports), default=0)
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -255,7 +259,7 @@ def _parse_values(args: argparse.Namespace) -> None:
         args.n = _parse_range(args.n)
     if args.k is not None:
         args.k = _parse_range(args.k)
-        if args.k[0] < 1 and (not verify or args.claim in K_CLAIMS):
+        if args.k[0] < 1 and (not verify or CLAIMS[args.claim][0]):
             raise ValueError(f"k must be >= 1, got {args.k[0]}")
     if verify and args.workers is not None and args.workers < 1:
         raise ValueError(f"workers must be >= 1, got {args.workers}")

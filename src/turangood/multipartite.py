@@ -118,6 +118,12 @@ def turan_parts(n: int, k: int) -> PartSizes:
     return PartSizes((q + 1,) * r + (q,) * (k - r))
 
 
+def _turan_k(n: int, k: int) -> int:
+    """The k to build T(n, k) with: at most max(n, 1), as parts past the
+    n-th are empty and change no count, only memory.  A k < 1 is kept."""
+    return min(k, max(n, 1))
+
+
 @lru_cache(maxsize=2)
 def _core_memo(core: tuple[int, ...]) -> tuple[tuple[bool, ...], list[dict]]:
     """The edge core's back-edge flags and memo, one dict per position but
@@ -257,4 +263,4 @@ def count_copies(forest: LinearForest, parts: PartsLike) -> int:
 
 def count_copies_turan(forest: LinearForest, n: int, k: int) -> int:
     """Copy count in the Turan graph T(n, k)."""
-    return count_copies(forest, turan_parts(n, k))
+    return count_copies(forest, turan_parts(n, _turan_k(n, k)))

@@ -1,8 +1,10 @@
 """Machine-checkable verdicts for the extremal counting claims.
 
 Each verifier sweeps a finite parameter space, compares exact counts,
-and returns a VerificationReport.  Reports serialize to JSON with the
-stable schema
+and returns a VerificationReport built by ``_report``: "holds" unless a
+counterexample, computed only on failure, is given.  ``VERDICTS`` maps
+each verdict to its exit code; a new verdict is added there.  Reports
+serialize to JSON with the stable schema
 
     {claim, params, verdict, maximizers[], counterexample?, ratio?,
      instances_checked}
@@ -30,6 +32,7 @@ from .forest import (
 from .multipartite import (
     PartSizes,
     PartsLike,
+    _turan_k,
     count_copies,
     count_injective_homs_many,
     turan_parts,
@@ -40,8 +43,8 @@ from .oracle import (
     extremal_search,
 )
 
-HOLDS = "holds"
-COUNTEREXAMPLE = "counterexample"
+VERDICTS = {"holds": 0, "counterexample": 1}
+"""Each verdict with the exit code of ``verify``, least severe first."""
 
 
 class VerificationReport(Record):
@@ -52,9 +55,9 @@ class VerificationReport(Record):
                  maximizers: tuple[tuple[int, ...], ...] = (),
                  counterexample: dict | None = None,
                  instances_checked: int = 0, ratio: str | None = None) -> None:
-        if verdict not in (HOLDS, COUNTEREXAMPLE):
+        if verdict not in VERDICTS:
             raise ValueError(f"unknown verdict {verdict!r}")
-        if verdict == HOLDS and counterexample is not None:
+        if verdict == "holds" and counterexample is not None:
             raise ValueError("a holding verdict cannot carry a counterexample")
         if instances_checked <= 0:
             raise ValueError("instances_checked must be positive")
@@ -63,7 +66,7 @@ class VerificationReport(Record):
 
     @property
     def holds(self) -> bool:
-        return self.verdict == HOLDS
+        return self.verdict == "holds"
 
     def to_json_dict(self) -> dict:
         out = {
@@ -78,6 +81,12 @@ class VerificationReport(Record):
         if self.ratio is not None:
             out["ratio"] = self.ratio
         return out
+
+
+def _report(claim: str, params: dict, counterexample: dict | None, **fields) -> VerificationReport:
+    """The verifier's report: "holds" unless a counterexample is given."""
+    verdict = "holds" if counterexample is None else "counterexample"
+    return VerificationReport(claim, params, verdict, counterexample=counterexample, **fields)
 
 
 def partitions_at_most(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -108,11 +117,6 @@ def partitions_at_most(n: int, k: int) -> Iterator[tuple[int, ...]]:
         parts[i:] = [v] * (q + 1) + [r] * (r > 0)
 
 
-def _bipartitions(n: int) -> Iterator[tuple[int, int]]:
-    for a in range(1, n // 2 + 1):
-        yield (n - a, a)
-
-
 def _n_values(n_range: Iterable[int]) -> list[int]:
     """The sorted distinct n of an identity sweep; below n = 2 no host has
     two nonempty parts, so a range without such an n would check nothing."""
@@ -124,6 +128,14 @@ def _n_values(n_range: Iterable[int]) -> list[int]:
     if values[-1] < 2:
         raise ValueError("n range has no n >= 2, so no host with two nonempty parts")
     return values
+
+
+def _bipartite_hosts(values: list[int]) -> Iterator[tuple[int, int, int]]:
+    """The hosts K_{a,b}, a >= b >= 1, a + b = n, of an identity sweep, n as in
+    ``values`` and then b ascending; one at least, as some n >= 2 is there."""
+    for n in values:
+        for b in range(1, n // 2 + 1):
+            yield n, n - b, b
 
 
 _SWEEP_CHUNK = 64
@@ -154,23 +166,16 @@ def verify_multipartite_max(forest: LinearForest, n: int, k: int) -> Verificatio
                 maximizers = [part]
             elif cnt == best:
                 maximizers.append(part)
-    target = turan_parts(n, k).canonical
-    params = {"forest": str(forest), "n": n, "k": k}
-    if target in maximizers:
-        return VerificationReport("multipartite-max", params, HOLDS,
-                                  maximizers=tuple(maximizers),
-                                  instances_checked=checked)
-    return VerificationReport(
-        "multipartite-max", params, COUNTEREXAMPLE,
-        maximizers=tuple(maximizers),
-        counterexample={
+    target = turan_parts(n, _turan_k(n, k)).canonical
+    return _report(
+        "multipartite-max", {"forest": str(forest), "n": n, "k": k},
+        None if target in maximizers else {
             "turan_parts": list(target),
             "turan_count": count_copies(forest, target),
             "best_parts": list(maximizers[0]),
             "best_count": best,
         },
-        instances_checked=checked,
-    )
+        maximizers=tuple(maximizers), instances_checked=checked)
 
 
 def balancing_move(parts: PartSizes, i: int, j: int) -> PartSizes:
@@ -214,15 +219,18 @@ def verify_balancing_monotone(forest: LinearForest, parts: PartsLike) -> Verific
     """Check that no single balancing move decreases the copy count and
     that iterated moves reach the Turan partition."""
     parts = parts if isinstance(parts, PartSizes) else PartSizes(tuple(parts))
-    params = {"forest": str(forest), "parts": list(parts.sizes)}
+    target = turan_parts(parts.n, parts.k)
+    found, checked = _balance_failure(forest, parts, target)
+    return _report("balance", {"forest": str(forest), "parts": list(parts.sizes)}, found,
+                   maximizers=() if found else (target.canonical,),
+                   instances_checked=max(checked, 1))
+
+
+def _balance_failure(forest: LinearForest, parts: PartSizes,
+                     target: PartSizes) -> tuple[dict | None, int]:
+    """The first failing check of the balance claim, or None, and the checks made."""
     base = count_copies(forest, parts)
     checked = 0
-
-    def fail(payload: dict) -> VerificationReport:
-        return VerificationReport("balance", params, COUNTEREXAMPLE,
-                                  counterexample=payload,
-                                  instances_checked=max(checked, 1))
-
     sizes = parts.sizes
     for i in range(len(sizes)):
         for j in range(len(sizes)):
@@ -232,29 +240,22 @@ def verify_balancing_monotone(forest: LinearForest, parts: PartsLike) -> Verific
             checked += 1
             after = count_copies(forest, moved)
             if after < base:
-                return fail({"move": [i, j], "parts_after": list(moved.sizes),
-                             "count_before": base, "count_after": after})
-
+                return {"move": [i, j], "parts_after": list(moved.sizes),
+                        "count_before": base, "count_after": after}, checked
     trajectory = balance_trajectory(parts)
     prev_parts, prev = parts, base
     for step in trajectory:
         checked += 1
         cur = count_copies(forest, step)
         if cur < prev:
-            return fail({"move_from": list(prev_parts.sizes),
-                         "parts_after": list(step.sizes),
-                         "count_before": prev, "count_after": cur})
+            return {"move_from": list(prev_parts.sizes), "parts_after": list(step.sizes),
+                    "count_before": prev, "count_after": cur}, checked
         prev_parts, prev = step, cur
-
     final = trajectory[-1] if trajectory else parts
-    target = turan_parts(parts.n, parts.k)
-    checked += 1
     if final.canonical != target.canonical or len(trajectory) > max(parts.n, 1):
-        return fail({"reached": list(final.sizes), "target": list(target.sizes),
-                     "steps": len(trajectory)})
-    return VerificationReport("balance", params, HOLDS,
-                              maximizers=(target.canonical,),
-                              instances_checked=checked)
+        return {"reached": list(final.sizes), "target": list(target.sizes),
+                "steps": len(trajectory)}, checked + 1
+    return None, checked + 1
 
 
 def _ratio_identity(claim: str, forest: LinearForest, order: int,
@@ -267,29 +268,19 @@ def _ratio_identity(claim: str, forest: LinearForest, order: int,
     from fractions import Fraction  # here, not at start-up: it imports decimal
 
     values = _n_values(n_range)
-    params = {"forest": str(forest), "order": order, "n_range": values}
     hosts: dict = {}  # each ratio seen -> the first host that gave it
-    checked = 0
-    for n in values:
-        for a, b in _bipartitions(n):
-            checked += 1
-            denom = count_copies(forest, (a, b))
-            if denom == 0:
-                continue
-            numer = rebuilt(n, a, b)
-            hosts.setdefault(Fraction(numer, denom), {
-                "n": n, "parts": [a, b], "numerator": numer, "denominator": denom})
-    ratios = sorted(hosts)
-    if len(ratios) <= 1:
-        return VerificationReport(claim, params, HOLDS, instances_checked=checked,
-                                  ratio=str(ratios[0]) if ratios else None)
-    lo, hi = ratios[0], ratios[-1]
-    return VerificationReport(
-        claim, params, COUNTEREXAMPLE,
-        counterexample={"host_a": hosts[lo], "ratio_a": str(lo),
-                        "host_b": hosts[hi], "ratio_b": str(hi)},
-        instances_checked=checked,
-    )
+    for checked, (n, a, b) in enumerate(_bipartite_hosts(values), 1):
+        denom = count_copies(forest, (a, b))
+        if denom == 0:
+            continue
+        numer = rebuilt(n, a, b)
+        hosts.setdefault(Fraction(numer, denom), {
+            "n": n, "parts": [a, b], "numerator": numer, "denominator": denom})
+    lo, hi = min(hosts, default=None), max(hosts, default=None)
+    found = ({"host_a": hosts[lo], "ratio_a": str(lo), "host_b": hosts[hi], "ratio_b": str(hi)}
+             if lo != hi else None)
+    return _report(claim, {"forest": str(forest), "order": order, "n_range": values}, found,
+                   instances_checked=checked, ratio=str(lo) if hosts and not found else None)
 
 
 def verify_odd_extension_identity(forest: LinearForest, order: int,
@@ -329,22 +320,15 @@ def verify_isolated_identity(forest: LinearForest,
     shrunk = delete_isolated(forest)
     isolated = forest.multiplicity(1)
     values = _n_values(n_range)
-    params = {"forest": str(forest), "n_range": values}
-    checked = 0
-    for n in values:
-        for a, b in _bipartitions(n):
-            checked += 1
-            lhs = count_copies(forest, (a, b)) * isolated
-            rhs = count_copies(shrunk, (a, b)) * (n - forest.total_vertices + 1)
-            if lhs != rhs:
-                return VerificationReport(
-                    "isolated-identity", params, COUNTEREXAMPLE,
-                    counterexample={"n": n, "parts": [a, b],
-                                    "lhs": lhs, "rhs": rhs},
-                    instances_checked=checked,
-                )
-    return VerificationReport("isolated-identity", params, HOLDS,
-                              instances_checked=checked)
+    found = None
+    for checked, (n, a, b) in enumerate(_bipartite_hosts(values), 1):
+        lhs = count_copies(forest, (a, b)) * isolated
+        rhs = count_copies(shrunk, (a, b)) * (n - forest.total_vertices + 1)
+        if lhs != rhs:
+            found = {"n": n, "parts": [a, b], "lhs": lhs, "rhs": rhs}
+            break
+    return _report("isolated-identity", {"forest": str(forest), "n_range": values}, found,
+                   instances_checked=checked)
 
 
 def verify_conjecture(forest: LinearForest, n: int, k: int, *, ks: Sequence[int] = (),
@@ -354,16 +338,11 @@ def verify_conjecture(forest: LinearForest, n: int, k: int, *, ks: Sequence[int]
     vertices holds more copies of the forest than the Turan graph; ``ks``
     is passed on to ``extremal_search``."""
     result = extremal_search(forest, n, k, ks=ks, cap=cap, witness_cap=witness_cap)
-    params = {"forest": str(forest), "n": n, "k": k}
-    if result.max_count == result.turan_count:
-        return VerificationReport("conjecture", params, HOLDS,
-                                  instances_checked=result.graphs_scanned)
-    return VerificationReport(
-        "conjecture", params, COUNTEREXAMPLE,
-        counterexample={
+    return _report(
+        "conjecture", {"forest": str(forest), "n": n, "k": k},
+        None if result.max_count == result.turan_count else {
             "max_count": result.max_count,
             "turan_count": result.turan_count,
             "witnesses": [w.to_json_dict() for w in result.witnesses],
         },
-        instances_checked=result.graphs_scanned,
-    )
+        instances_checked=result.graphs_scanned)

@@ -4,15 +4,20 @@ import hashlib
 import io
 import json
 import sys
+import tracemalloc
+from functools import partial
 from math import factorial
+from pathlib import Path
 
 import pytest
 from conftest import clear_engine_caches
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from turangood import VerificationReport, oracle
-from turangood.cli import CLAIMS, FORMATS, run
+from turangood import (LinearForest, VerificationReport, count_copies_turan, extremal_search,
+                       oracle, verify_multipartite_max)
+from turangood.cli import CLAIMS, FORMATS, _parse_turan, build_parser, run
+from turangood.verify import VERDICTS
 
 
 def invoke(capsys, *argv):
@@ -447,11 +452,12 @@ class TestPinnedBytes:
 
 
 
-def _fake_conjecture(forest, n, k, **kwargs):
+def _fake_conjecture(forest, n, k, *, holds_at_2=True, **kwargs):
     """A holding report at k = 2 and a counterexample with one witness
-    (the 5-cycle) at every other k."""
+    (the 5-cycle) at every other k; the other way round when not
+    ``holds_at_2``."""
     params = {"forest": str(forest), "n": n, "k": k}
-    if k == 2:
+    if (k == 2) == holds_at_2:
         return VerificationReport("conjecture", params, "holds", instances_checked=1024)
     witness = {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [0, 4], [3, 4]], "graph6": "Dhc"}
     return VerificationReport(
@@ -484,6 +490,99 @@ def test_counterexample_bytes(capsys, monkeypatch, fmt):
     assert (code, err) == (1, "")
     assert _COUNTEREXAMPLE_SHOWS[fmt] in out
     assert hashlib.sha256(out.encode()).hexdigest() == _COUNTEREXAMPLE_PINS[fmt]
+
+
+@pytest.mark.parametrize("holds_at_2, verdicts", [
+    (True, ["holds", "counterexample"]),
+    (False, ["counterexample", "holds"]),
+], ids=["holds-first", "counterexample-first"])
+def test_mixed_verdicts_exit_1(capsys, monkeypatch, holds_at_2, verdicts):
+    monkeypatch.setattr("turangood.verify.verify_conjecture",
+                        partial(_fake_conjecture, holds_at_2=holds_at_2))
+    code, out, err = invoke(capsys, "verify", "conjecture", "--forest", "3", "--n", "5",
+                            "--k", "2..3", "--format", "json")
+    assert (code, err) == (1, "")
+    assert [r["verdict"] for r in json.loads(out)] == verdicts
+
+
+_TURAN_CALLS = {  # each call that builds T(3, k) from a k given by the user
+    "cli._parse_turan": lambda k: _parse_turan(f"3/{k}"),
+    "count_copies_turan": lambda k: count_copies_turan(LinearForest((2,)), 3, k),
+    "verify_multipartite_max": lambda k: verify_multipartite_max(LinearForest((2,)), 3, k),
+    "extremal_search": lambda k: extremal_search(LinearForest((2,)), 3, k),
+}
+
+
+class TestTuranKBeyondN:
+    """T(n, k) for k > n is K_n plus empty parts: built without them, it
+    takes no memory per part and prints as T(n, n) does."""
+
+    @pytest.mark.parametrize("name", sorted(_TURAN_CALLS))
+    def test_peak_memory_under_1_mib(self, name):
+        call = _TURAN_CALLS[name]
+        call(3)  # fill the caches first; their size does not depend on k
+        tracemalloc.start()
+        try:
+            call(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("argv", ["count --forest 2 --turan 3/{k}",
+                                      "table --forest 2 --n 3 --k {k}",
+                                      "verify multipartite-max --forest 2 --n 3 --k {k}",
+                                      "verify conjecture --forest 2 --n 3 --k {k}"])
+    def test_output_as_at_k_equal_n(self, capsys, argv, fmt):
+        big = invoke(capsys, *argv.format(k=10**6).split(), "--format", fmt)
+        at_n = invoke(capsys, *argv.format(k=3).split(), "--format", fmt)
+        assert at_n[0] == 0
+        assert (big[0], big[1].replace("1000000", "3"), big[2]) == at_n
+
+
+_VERIFIERS = {  # each claim: its verifier on turangood.verify, the options it needs
+    "multipartite-max": ("verify_multipartite_max", ["--n", "3", "--k", "2"]),
+    "balance": ("verify_balancing_monotone", ["--parts", "1,3"]),
+    "odd-identity": ("verify_odd_extension_identity", []),
+    "even-identity": ("verify_even_extension_identity", []),
+    "isolated-identity": ("verify_isolated_identity", []),
+    "conjecture": ("verify_conjecture", ["--n", "3", "--k", "2"]),
+}
+
+
+class TestTables:
+    """The verdict table of verify.py and the claim table of cli.py."""
+
+    def test_verdicts_pinned(self):
+        assert list(VERDICTS.items()) == [("holds", 0), ("counterexample", 1)]
+
+    def test_parser_choices_are_the_claims(self):
+        verify = build_parser()._subparsers._group_actions[0].choices["verify"]
+        [claim] = [a for a in verify._actions if a.dest == "claim"]
+        assert list(claim.choices) == list(CLAIMS) == list(_VERIFIERS)
+
+    def test_claims_that_read_k(self):
+        assert [c for c, (reads_k, _) in CLAIMS.items() if reads_k] == [
+            "multipartite-max", "conjecture"]
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert ("Only `multipartite-max`, `conjecture` and `table` read `--k`"
+                in " ".join(readme.split()))
+
+    @pytest.mark.parametrize("claim", list(_VERIFIERS))
+    def test_run_reaches_verifier_rebound_on_verify(self, capsys, monkeypatch, claim):
+        verifier, argv = _VERIFIERS[claim]
+        calls = []
+
+        def fake(*args, **kwargs):
+            calls.append(args)
+            return VerificationReport(claim, {}, "holds", instances_checked=1)
+        monkeypatch.setattr(f"turangood.verify.{verifier}", fake)
+        code, out, err = invoke(capsys, "verify", claim, "--forest", "4,3,1", *argv,
+                                "--format", "json")
+        assert (code, err) == (0, "")
+        assert calls and all(str(args[0]) == "4,3,1" for args in calls)
+        assert [r["claim"] for r in json.loads(out)] == [claim] * len(calls)
 
 
 

@@ -365,3 +365,10 @@ def test_self_check_holds_under_optimize(n):
     assert proc.returncode == 3, proc.stderr.decode()
     assert proc.stderr.decode() == ("turangood: internal error: RuntimeError: "
                                     f"scan self-check failed on mask {mask}\n")
+
+
+def test_cli_diff_finds_no_difference_between_the_repo_and_itself():
+    root = Path(__file__).resolve().parents[1]
+    proc = python(str(root / "tools" / "cli_diff.py"), str(root), str(root), "--seeds", "1")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.endswith(b" argvs, 0 differ\n")

@@ -1,0 +1,108 @@
+"""Compare the CLI's exit code, stdout and stderr between two checkouts.
+
+Usage, from any directory:
+
+    python3 tools/cli_diff.py PARENT CHANGE [--seeds N]
+
+The argvs are every op of the benchmark's workloads (CHANGE's
+``bench/workloads.py``) at seeds 1..N (default 1), ``-h`` of each command,
+and a fixed list of usage errors and vacuous ranges.  Each checkout runs
+all of them through ``turangood.cli.run`` in one fresh interpreter, with
+its own ``src`` on the path, no TURANGOOD_* variables and
+PYTHONDONTWRITEBYTECODE=1.  The first argv whose exit code, stdout or
+stderr differ is printed; the exit code is 1 on any difference, else 0.
+Stdlib only; nothing under ``bench/`` is written.
+"""
+
+import argparse
+import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+FIXED = [
+    ["-h"], ["count", "-h"], ["verify", "-h"], ["table", "-h"], [],
+    ["verify", "bogus", "--forest", "3"],
+    ["verify", "conjecture", "--forest", "3", "--k", "2"],
+    ["verify", "conjecture", "--forest", "3", "--n", "4"],
+    ["verify", "multipartite-max", "--forest", "3", "--n", "4"],
+    ["verify", "multipartite-max", "--forest", "3", "--n", "4", "--k", "0"],
+    ["verify", "balance", "--forest", "3"],
+    ["verify", "even-identity", "--forest", "3,1"],
+    ["verify", "odd-identity", "--forest", "2,1"],
+    ["verify", "odd-identity", "--forest", "3", "--k", "0"],
+    ["verify", "isolated-identity", "--forest", "3,1", "--n", "0..1"],
+    ["verify", "even-identity", "--forest", "2", "--n", "-1..3"],
+    ["verify", "multipartite-max", "--forest", "2", "--n", "0..2", "--k", "1..3"],
+    ["verify", "multipartite-max", "--forest", "2", "--n", "3", "--k", "1000000"],
+    ["verify", "conjecture", "--forest", "3", "--n", "0..2", "--k", "5"],
+    ["verify", "conjecture", "--forest", "2", "--n", "3", "--k", "1000000"],
+    ["verify", "conjecture", "--forest", "3", "--n", "9", "--k", "2"],
+    ["verify", "conjecture", "--forest", "3", "--n", "4", "--k", "2", "--workers", "0"],
+    ["table", "--forest", "2", "--n", "0..2", "--k", "1..4"],
+    ["table", "--forest", "2", "--n", "3", "--k", "1000000"],
+    ["count", "--forest", "2", "--turan", "3/1000000"],
+    ["count", "--forest", "2", "--turan", "0/4"],
+    ["count", "--forest", "2", "--turan", "5/0"],
+    ["count", "--forest", "2", "--turan", "-1/4"],
+]
+
+CHILD = """
+import contextlib, io, json, sys
+import turangood.cli as cli
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.run(argv)
+        except Exception as exc:
+            rc = f"raised {type(exc).__name__}: {exc}"
+    results.append([rc, out.getvalue(), err.getvalue()])
+json.dump({"module": cli.__file__, "results": results}, sys.stdout)
+"""
+
+
+def argvs(change: Path, seeds: int) -> list[list[str]]:
+    sys.dont_write_bytecode = True  # leave no __pycache__ under bench/
+    sys.path.insert(0, str(change / "bench"))
+    import workloads
+    ops = [op["argv"] for seed in range(1, seeds + 1)
+           for name in workloads.WORKLOADS for op in workloads.build(name, seed)]
+    return ops + FIXED
+
+
+def outputs(checkout: Path, argv_list: list[list[str]]) -> list:
+    env = {key: val for key, val in os.environ.items() if not key.startswith("TURANGOOD_")}
+    env.update(PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(argv_list),
+                          cwd=checkout, env=env, capture_output=True, text=True, check=True)
+    doc = json.loads(proc.stdout)
+    if not Path(doc["module"]).resolve().is_relative_to(checkout.resolve()):
+        raise SystemExit(f"cli_diff: {checkout} ran {doc['module']}, not its own package")
+    return doc["results"]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--seeds", type=int, default=1, help="workload seeds 1..N")
+    args = parser.parse_args()
+    argv_list = argvs(args.change, args.seeds)
+    sides = [outputs(root, argv_list) for root in (args.parent, args.change)]
+    differ = [i for i, (old, new) in enumerate(zip(*sides)) if old != new]
+    print(f"cli_diff: {len(argv_list)} argvs, {len(differ)} differ")
+    if differ:
+        i = differ[0]
+        print(f"first difference: turangood {shlex.join(argv_list[i])}")
+        for field, old, new in zip(("exit code", "stdout", "stderr"), *(s[i] for s in sides)):
+            if old != new:
+                print(f"  {field}: parent {old!r:.300}\n  {field}: change {new!r:.300}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -42,7 +42,7 @@ from functools import lru_cache, partial
 from .forest import LinearForest, aut_order, copies_from_injective_homs
 from .multipartite import (PartSizes, _turan_k, count_copies_turan, count_injective_homs,
                            turan_parts)
-from .oracle import EXHAUSTIVE_CAP_DEFAULT, WITNESS_CAP_DEFAULT
+from .oracle import EXHAUSTIVE_CAP_DEFAULT, WITNESS_CAP_DEFAULT, _mem_available
 from . import verify as verify_mod
 
 ENV_PREFIX = "TURANGOOD_"
@@ -114,12 +114,30 @@ def cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
+# Bytes a request holds per (n, k) pair until it prints (its result as
+# objects, JSON text, CSV rows and human blocks), plus, for ``verify``,
+# per part of the host partition each report lists.  Peak RSS per pair,
+# JSON, in a fresh interpreter: table 1.3 KB; conjecture 2.7 KB at n = 3;
+# multipartite-max 3.5, 4.2, 6.2 and 7.9 KB at n = 3, 12, 24 and 36.
+_PAIR_BYTES = 4096
+_PART_BYTES = 256
+
+
 def _grid(args: argparse.Namespace) -> Iterator[tuple[int, int]]:
-    """The (n, k) pairs of --n x --k, k outer."""
+    """The (n, k) pairs of --n x --k, k outer.  A grid whose results
+    would not fit in the memory available now is refused here, before
+    anything is counted."""
     if args.n is None or args.k is None:
         raise ValueError(f"{args.claim} needs --n and --k")
-    return ((n, k) for k in range(args.k[0], args.k[1] + 1)
-            for n in range(args.n[0], args.n[1] + 1))
+    (n_lo, n_hi), (k_lo, k_hi) = args.n, args.k
+    pairs = (n_hi - n_lo + 1) * (k_hi - k_lo + 1)
+    parts = max(min(n_hi, k_hi), 0) if args.subcommand == "verify" else 0
+    need = pairs * (_PAIR_BYTES + _PART_BYTES * parts)
+    avail = _mem_available()
+    if avail is not None and need > avail:
+        raise ValueError(f"{pairs} (n, k) pairs need about {need >> 20} MiB of results, "
+                         f"only {avail >> 20} MiB available")
+    return ((n, k) for k in range(k_lo, k_hi + 1) for n in range(n_lo, n_hi + 1))
 
 
 def _balance(args: argparse.Namespace) -> list:

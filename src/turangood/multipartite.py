@@ -23,8 +23,10 @@ So the moves of a caps are built once for all its markers, and each
 marker costs one subtraction.  A caps whose only marker is f, held by
 one part, makes no move into f, so exactly the states a vertex-by-vertex
 search reaches are visited (about a + b for a path in K_{a,b}, not ab).
-The last two vertices have a closed form (see ``_fill``), so the deepest
-position holds no states and the one before it computes no moves.
+The last four vertices have a closed form in the power sums of the caps
+(see ``_tail``), so the deepest three positions hold no states and the
+one before them computes no moves.  A P2 or P3 core has no memo: each
+host is counted at its root (``_short_path``).
 
 A state's value depends only on the core, so the memo is kept per core
 and shared by every host and every forest with that core (F and F - P1
@@ -127,13 +129,64 @@ def _turan_k(n: int, k: int) -> int:
 @lru_cache(maxsize=2)
 def _core_memo(core: tuple[int, ...]) -> tuple[tuple[bool, ...], list[dict]]:
     """The edge core's back-edge flags and memo, one dict per position but
-    the last: where a path starts it maps caps -> count of ways to place
-    the rest (marker -1 only), elsewhere caps -> {marker: count}.  Two
-    cores are kept, as the identity verifiers alternate a forest and its
-    shrunk forest; more only cost memory.  No lock guards a memo: the
+    the last three: where a path starts it maps caps -> count of ways to
+    place the rest (marker -1 only), elsewhere caps -> {marker: count}.
+    Two cores are kept, as the identity verifiers alternate a forest and
+    its shrunk forest; more only cost memory.  No lock guards a memo: the
     package runs the DP on one thread only."""
     flags = back_edge_flags(core)
-    return flags, [{} for _ in range(len(flags) - 1)]
+    return flags, [{} for _ in range(len(flags) - 3)]
+
+
+def _short_path(order: int, caps: tuple[int, ...]) -> int:
+    """Injective homomorphisms of P2 (order 2) or P3 into the host with
+    the given parts: s^2 - q or s^3 - s^2 - 2sq + q + u, where s, q, u
+    are the sums of c, c^2, c^3 over the parts."""
+    s = sum(caps)
+    q = sum(c * c for c in caps)
+    if order == 2:
+        return s * s - q
+    return s * s * (s - 1) - 2 * s * q + q + sum(c * c * c for c in caps)
+
+
+def _tail(caps: tuple[int, ...], bind2: bool, bind3: bool) -> tuple[int, int, int, int, int]:
+    """The ways to place the last four vertices v1..v4 on the caps, as
+    (H, a0, a1, a2, a3).  v4 is always bound to v3; bind2 and bind3 say
+    whether v2 is bound to v1 and v3 to v2.  With no part forbidden to v1
+    the count is H; with a forbidden part of capacity f > 0 it is H - h(f),
+    where h(f) = f(a0 + a1 f + a2 f^2 + a3 f^3).
+
+    With s, q, u, w the sums of c, c^2, c^3, c^4 over the caps:
+
+    - bound, bound (a path tail):
+      H = s^4 - 3s^3 - 3s^2 q + s^2 + 7sq + 2su + q^2 - q - 4u - w,
+      h(f)/f = -f^3 + (s - 4)f^2 + (-s^2 + 5s + q - 1)f
+               + s^3 - 3s^2 - 2sq + s + 2q + u;
+    - bound, start (v3 v4 is a P2):
+      H = s^4 - 4s^3 - 2s^2 q + 2s^2 + 8sq + q^2 - 2q - 4u,
+      h(f)/f = -4f^2 + (-s^2 + 6s + q - 2)f + s^3 - 4s^2 - sq + 2s + 2q;
+    - start, bound (v2 v3 v4 is a P3):
+      H = s^4 - 4s^3 - 2s^2 q + 3s^2 + 7sq + su - 3q - 3u,
+      h(f)/f = -3f^2 + (4s - 3)f + s^3 - 4s^2 - 2sq + 3s + 3q + u.
+
+    Each is the recursion V(caps, f) = sum over parts i of
+    c_i V'(caps - e_i, c_i - 1 if the next vertex is bound), less the
+    term of the forbidden part, expanded four vertices deep.  (A start
+    at v2 and at v3 would make v2 an isolated vertex, which no edge
+    core has.)"""
+    s = sum(caps)
+    q = sum(c * c for c in caps)
+    u = sum(c * c * c for c in caps)
+    ss = s * s
+    if not bind3:
+        return (ss * (ss - 4 * s - 2 * q + 2) + 8 * s * q + q * q - 2 * q - 4 * u,
+                s * (ss - 4 * s - q + 2) + 2 * q, -ss + 6 * s + q - 2, -4, 0)
+    if not bind2:
+        return (ss * (ss - 4 * s - 2 * q + 3) + s * (7 * q + u) - 3 * q - 3 * u,
+                s * (ss - 4 * s - 2 * q + 3) + 3 * q + u, 4 * s - 3, -3, 0)
+    w = sum(c * c * c * c for c in caps)
+    return (ss * (ss - 3 * s - 3 * q + 1) + s * (7 * q + 2 * u) + q * q - q - 4 * u - w,
+            s * (ss - 3 * s - 2 * q + 1) + 2 * q + u, -ss + 5 * s + q - 1, s - 4, -1)
 
 
 _UNMARKED = (-1,)
@@ -189,23 +242,17 @@ def _fill(flags: tuple[bool, ...], memo: list[dict], roots: Iterable) -> None:
             layer.append((caps, marks, moves))
         layers.append(layer)
         todo = nxt
-    # the last two vertices in closed form.  With s free host vertices and
-    # f of them in the forbidden part (0 when there is none), the first
-    # goes to one of s - f; the last then has s - 1 choices, or, when it
-    # must be adjacent, the s - c outside the part of size c the first
-    # took.  Summed over parts: s(s - f) - (sum of c^2 - f^2).
+    # the last four vertices in closed form (see _tail)
     here = memo[last]
-    bind = flags[last + 1]
+    marked, bind2, bind3 = flags[last:last + 3]
     for caps, marks in todo.items():
-        s = sum(caps)
-        sq = sum(c * c for c in caps) if bind else 0
-        if not flags[last]:
-            here[caps] = s * s - sq if bind else (s - 1) * s
+        total, a0, a1, a2, a3 = _tail(caps, bind2, bind3)
+        if not marked:
+            here[caps] = total
             continue
         vals = here.setdefault(caps, {})
         for f in marks:
-            g = f if f > 0 else 0
-            vals[f] = s * (s - g) - sq + g * g if bind else (s - 1) * (s - g)
+            vals[f] = total - f * (a0 + f * (a1 + f * (a2 + f * a3))) if f > 0 else total
     # backward, deepest layer first, each dropped once counted: marker -1
     # counts U, marker f counts U - t_f, and a move left out for marker f
     # leaves U as it is
@@ -241,6 +288,8 @@ def count_injective_homs_many(forest: LinearForest, hosts: Iterable[PartsLike]) 
     core, factor = edge_core(forest.components, n)
     if not core:
         return [factor] * len(batch)
+    if core in ((2,), (3,)):
+        return [factor * _short_path(core[0], sizes) for sizes in batch]
     flags, memo = _core_memo(core)
     top = memo[0]
     new = [sizes for sizes in batch if sizes not in top]

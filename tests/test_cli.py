@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from turangood import (LinearForest, VerificationReport, count_copies_turan, extremal_search,
                        oracle, verify_multipartite_max)
+from turangood import cli
+from turangood import verify as verify_mod
 from turangood.cli import CLAIMS, FORMATS, _parse_turan, build_parser, run
 from turangood.verify import VERDICTS
 
@@ -539,6 +541,42 @@ class TestTuranKBeyondN:
         at_n = invoke(capsys, *argv.format(k=3).split(), "--format", fmt)
         assert at_n[0] == 0
         assert (big[0], big[1].replace("1000000", "3"), big[2]) == at_n
+
+
+class TestGridMemory:
+    """A --n x --k grid whose results cannot fit in the memory available
+    is refused with exit 2 before anything is counted."""
+
+    GRIDS = {  # argv with a 2 x 5 grid: its bytes at 4,096 a pair, plus 256 a part of T(4, 5)
+        "table": ("table --forest 2 --n 3..4 --k 1..5", 10 * 4096),
+        "multipartite-max": ("verify multipartite-max --forest 2 --n 3..4 --k 1..5",
+                             10 * (4096 + 4 * 256)),
+        "conjecture": ("verify conjecture --forest 2 --n 3..4 --k 1..5", 10 * (4096 + 4 * 256)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_refused_when_one_byte_short(self, capsys, monkeypatch, name):
+        argv, need = self.GRIDS[name]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("counted a grid that was refused")
+
+        for fn in ("verify_multipartite_max", "verify_conjecture"):
+            monkeypatch.setattr(verify_mod, fn, refuse)
+        monkeypatch.setattr(cli, "count_copies_turan", refuse)
+        monkeypatch.setattr(cli, "_mem_available", lambda: need - 1)
+        assert invoke(capsys, *argv.split()) == (
+            2, "", f"turangood: error: 10 (n, k) pairs need about 0 MiB of results, "
+                   f"only 0 MiB available\n")
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_runs_when_it_fits_or_memory_is_unknown(self, capsys, monkeypatch, name):
+        argv, need = self.GRIDS[name]
+        expected = invoke(capsys, *argv.split())
+        assert expected[0] == 0
+        for avail in (need, None):
+            monkeypatch.setattr(cli, "_mem_available", lambda: avail)
+            assert invoke(capsys, *argv.split()) == expected
 
 
 _VERIFIERS = {  # each claim: its verifier on turangood.verify, the options it needs

@@ -1,9 +1,11 @@
 import json
 import random
+from itertools import combinations_with_replacement
 from math import factorial, perm
 
 import numpy as np
 import pytest
+from colour_hist import forest_hist, inj_homs
 from conftest import all_forests, brute_copies_multipartite, brute_inj_homs_multipartite
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -240,6 +242,101 @@ class TestCountingCore:
         assert not _memo_holds(target.components)
 
 
+def _hosts(largest_part: int, most_parts: int):
+    """Every sorted host with at most most_parts parts, each of size 1..largest_part."""
+    return [tuple(sorted(h, reverse=True)) for r in range(most_parts + 1)
+            for h in combinations_with_replacement(range(1, largest_part + 1), r)]
+
+
+def test_colour_histogram_matches_brute_force():
+    for comps in all_forests(5):
+        hist = forest_hist(comps, 3)
+        for h in _hosts(2, 3):
+            assert inj_homs(hist, 3, h) == brute_inj_homs_multipartite(comps, h), (comps, h)
+
+
+def test_dp_equals_colour_histogram_on_the_grid():
+    # N_inj(H, K_{a_1..a_k}) is a symmetric polynomial of degree at most
+    # m = |V(H)| in each part size, so agreement on every sorted host of
+    # at most 4 parts of size at most m fixes it on every host with at
+    # most 4 parts
+    multipartite._core_memo.cache_clear()
+    pairs = 0
+    for comps in all_forests(7, 2):
+        if max(comps) < 2:
+            continue
+        forest, hist = LinearForest(comps), forest_hist(comps, 4)
+        by_n = {}
+        for h in _hosts(sum(comps), 4):
+            by_n.setdefault(sum(h), []).append(h)
+        for hosts in by_n.values():
+            got = count_injective_homs_many(forest, hosts)
+            assert got == [inj_homs(hist, 4, h) for h in hosts], comps
+            pairs += len(hosts)
+    assert pairs == 7841
+
+
+def _plain(caps, binds, forbidden=None):
+    """Ways to place len(binds) + 1 vertices on parts with the given free
+    capacities, the first off the part of index forbidden (None for no
+    such part) and vertex i + 1 off vertex i's part when binds[i]: the
+    plain recursion over labeled parts."""
+    def place(i, caps, off):
+        if i > len(binds):
+            return 1
+        out = 0
+        for p, c in enumerate(caps):
+            if c and p != off:
+                rest = list(caps)
+                rest[p] -= 1
+                out += c * place(i + 1, rest, p if i < len(binds) and binds[i] else None)
+        return out
+
+    return place(0, caps, forbidden)
+
+
+class TestTail:
+    """The closed forms of the last four vertices and of P2 and P3 cores,
+    on every caps of at most 5 parts of size at most 5 and every marker."""
+
+    @pytest.mark.parametrize("bind2, bind3", [(True, True), (True, False), (False, True)],
+                             ids=["path", "then-P2", "then-P3"])
+    def test_every_state_of_the_last_layer(self, bind2, bind3):
+        binds = (bind2, bind3, True)
+        small = _hosts(5, 5)
+        # v1 starts a path: the roots are the states, marker -1 only
+        memo = [{}]
+        multipartite._fill((False, bind2, bind3, True), memo, small)
+        assert memo[0] == {caps: _plain(caps, binds) for caps in small}
+        # v1 follows a bound vertex: one move from the roots below reaches
+        # every small caps with every marker, -1 where the move used up a part
+        memo = [{}, {}]
+        multipartite._fill((False, True, bind2, bind3, True), memo, _hosts(6, 6))
+        states = {(caps, f): got for caps, held in memo[1].items() for f, got in held.items()}
+        assert {(caps, f) for caps in small for f in {-1, *caps}} <= states.keys()
+        for (caps, f), got in states.items():
+            assert got == _plain(caps, binds, caps.index(f) if f > 0 else None), (caps, f)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_short_cores_are_counted_at_the_root(self, order):
+        multipartite._core_memo.cache_clear()
+        count_injective_homs(LinearForest((4,)), (2, 2))
+        for caps in _hosts(5, 5):
+            got = count_injective_homs(LinearForest((order,)), caps)
+            assert got == _plain(caps, (True,) * (order - 1)), caps
+            assert count_injective_homs(LinearForest((order, 1)), caps) == (
+                got * max(sum(caps) - order, 0))
+        assert multipartite._core_memo.cache_info().currsize == 1
+        assert _memo_holds((4,))
+
+
+def test_memo_keeps_all_positions_but_the_last_three():
+    for core in all_forests(9, 4):
+        if min(core) >= 2:
+            flags, memo = multipartite._core_memo(core)
+            assert len(memo) == sum(core) - 3 == len(flags) - 3
+
+
 def _memo_holds(core):
     """Whether the memo of the core is cached.  The lookup caches it and
     makes it the most recently used."""
@@ -263,11 +360,11 @@ def _reachable_states(core, roots):
     """(position, caps, marker) reachable from the roots by the plain move
     rule: the next vertex takes any part but the forbidden one, and when
     it must be adjacent to the vertex after it, its part becomes the
-    forbidden one.  The deepest two positions are left out, as in the memo."""
+    forbidden one.  The deepest four positions are left out, as in the memo."""
     flags = [t > 0 for c in core for t in range(c)]
     seen = set()
     layer = {(tuple(caps), -1) for caps in roots}
-    for pos in range(len(flags) - 1):
+    for pos in range(len(flags) - 3):
         seen.update((pos, caps, f) for caps, f in layer)
         nxt = set()
         for caps, f in layer:

@@ -8,12 +8,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import turangood
-from turangood import LinearForest, extremal_search
+from turangood import LinearForest, extremal_search, oracle
 from turangood.cli import run
 
 SRC = str(Path(turangood.__file__).resolve().parents[1])
@@ -365,6 +366,19 @@ def test_self_check_holds_under_optimize(n):
     assert proc.returncode == 3, proc.stderr.decode()
     assert proc.stderr.decode() == ("turangood: internal error: RuntimeError: "
                                     f"scan self-check failed on mask {mask}\n")
+
+
+@pytest.mark.skipif(oracle._mem_available() is None, reason="no MemAvailable to compare with")
+@pytest.mark.parametrize("argv", ["verify conjecture --forest 2 --n 3",
+                                  "verify multipartite-max --forest 2 --n 3",
+                                  "table --forest 2 --n 3"])
+def test_huge_grid_is_refused_at_once(argv):
+    start = time.perf_counter()
+    proc = python("-m", "turangood", *argv.split(), "--k", "1..1000000000")
+    assert proc.returncode == 2, proc.stderr.decode()
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"turangood: error: 1000000000 (n, k) pairs need about ")
+    assert time.perf_counter() - start < 10
 
 
 def test_cli_diff_finds_no_difference_between_the_repo_and_itself():

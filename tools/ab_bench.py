@@ -10,8 +10,9 @@ is even.  Before every run both checkouts lose their ``__pycache__``
 directories and the run gets PYTHONDONTWRITEBYTECODE=1, so neither side
 reads bytecode that the other did not compile.  Per end-to-end metric of
 the change's ``BENCHMARK.json``, the out file gets each side's runs,
-median and inclusive quartiles, and the pairs the change won, under
-``end_to_end["<workload> seed <seed>"]``; its other keys are kept.
+median and inclusive quartiles, the pairs the change won, and a verdict
+(see ``verdict``), under ``end_to_end["<workload> seed <seed>"]``; its
+other keys are kept.
 """
 
 import argparse
@@ -40,6 +41,39 @@ def summary(runs: list[float]) -> dict:
             "q3": round(q3, 5), "runs": [round(r, 5) for r in runs]}
 
 
+def wins(parent: list[float], change: list[float], better: str) -> int:
+    """The pairs in which the change reads better; ties count for neither."""
+    sign = 1 if better == "higher" else -1
+    return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+
+
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """The verdict on one end-to-end metric, from the runs of each side in
+    pair order, which way is better ("lower" or "higher") and the relative
+    bound by which the metric may worsen:
+
+    - ``better``: the change wins at least 9 of 10 pairs, and its median
+      beats the parent's by more than the parent's interquartile range;
+    - ``worse``: the change's median is worse than the parent's by more
+      than ``bound`` times the parent's median;
+    - ``unresolved``: the parent's interquartile range is wider than
+      ``bound`` times its median, and not every change run beats every
+      parent run;
+    - ``same``: otherwise.
+    """
+    sign = 1 if better == "higher" else -1
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    if 10 * wins(parent, change, better) >= 9 * len(parent) and sign * (c_med - p_med) > q3 - q1:
+        return "better"
+    if sign * (p_med - c_med) > bound * abs(p_med):
+        return "worse"
+    beats_all = min(change) > max(parent) if sign > 0 else max(change) < min(parent)
+    if q3 - q1 > bound * abs(p_med) and not beats_all:
+        return "unresolved"
+    return "same"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -65,11 +99,11 @@ def main() -> None:
               file=sys.stderr)
     entry = {"pairs": args.pairs, "order": "odd pair index parent first, even change first"}
     for m in spec:
-        name, sign = m["name"], (1 if m["better"] == "higher" else -1)
+        name = m["name"]
         sides = {side: [r[name] for r in runs[side]] for side in runs}
         entry[name] = {side: summary(values) for side, values in sides.items()}
-        entry[name]["change_better_in_pairs"] = sum(
-            sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"]))
+        entry[name]["change_better_in_pairs"] = wins(sides["parent"], sides["change"], m["better"])
+        entry[name]["verdict"] = verdict(sides["parent"], sides["change"], m["better"], m["bound"])
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("end_to_end", {})[f"{args.workload} seed {args.seed}"] = entry
     args.out.write_text(json.dumps(doc, indent=1) + "\n")

@@ -42,7 +42,7 @@ from functools import lru_cache, partial
 from .forest import LinearForest, aut_order, copies_from_injective_homs
 from .multipartite import (PartSizes, _turan_k, count_copies_turan, count_injective_homs,
                            turan_parts)
-from .oracle import EXHAUSTIVE_CAP_DEFAULT, WITNESS_CAP_DEFAULT, _mem_available
+from .oracle import EXHAUSTIVE_CAP_DEFAULT, WITNESS_CAP_DEFAULT, _check_memory
 from . import verify as verify_mod
 
 ENV_PREFIX = "TURANGOOD_"
@@ -132,11 +132,8 @@ def _grid(args: argparse.Namespace) -> Iterator[tuple[int, int]]:
     (n_lo, n_hi), (k_lo, k_hi) = args.n, args.k
     pairs = (n_hi - n_lo + 1) * (k_hi - k_lo + 1)
     parts = max(min(n_hi, k_hi), 0) if args.subcommand == "verify" else 0
-    need = pairs * (_PAIR_BYTES + _PART_BYTES * parts)
-    avail = _mem_available()
-    if avail is not None and need > avail:
-        raise ValueError(f"{pairs} (n, k) pairs need about {need >> 20} MiB of results, "
-                         f"only {avail >> 20} MiB available")
+    _check_memory(pairs * (_PAIR_BYTES + _PART_BYTES * parts), f"{pairs} (n, k) pairs need",
+                  "results")
     return ((n, k) for k in range(k_lo, k_hi + 1) for n in range(n_lo, n_hi + 1))
 
 

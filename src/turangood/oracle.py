@@ -48,14 +48,16 @@ and the ties.  So the search runs once per edge core (the components of
 order >= 2), set of k values and witness cap, and its results (the best
 core count and the tied masks of each k, never an array) are cached;
 every forest with that core, and every k of the request, scales the
-count and reuses the masks.  The count array and the clique-number
-array are each held by a one-entry cache that drops its array before it
-builds the next, at every n: at most one array of each kind is alive,
-and a loop over many forests and k at n = 8 stays at the memory of one
-search (a 512 MiB count array and a 256 MiB clique array).  The result
-is exact and is spot-checked, per forest and uncached: the reference
-counter counts the Turan graph and every witness it returns, one graph
-per call, and the clique search checks every witness.
+count and reuses the masks.  The count array is read by the one search
+that builds it, and is freed when that search returns.  The clique
+numbers of the latest n are kept, as every search at that n reads them;
+only n = 7 and 8 build the array, so at most the 2 MiB of n = 7 are
+still alive while n = 8 builds its own.  A loop over many forests and k
+at n = 8 stays at the memory of one search (a 512 MiB count array and a
+256 MiB clique array).  The result is exact and is spot-checked, per
+forest and uncached: the reference counter counts the Turan graph and
+every witness it returns, one graph per call, and the clique search
+checks every witness.
 
 Up to n = _SMALL_N = 6, where an array has at most 2^15 entries and
 importing numpy costs more than the whole search, the search does not
@@ -74,10 +76,9 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from functools import lru_cache, wraps
+from functools import lru_cache
 from itertools import combinations, islice, permutations
 from math import perm
-from types import SimpleNamespace
 
 from .forest import (LinearForest, Record, aut_order, back_edge_flags,
                      copies_from_injective_homs, edge_core)
@@ -391,35 +392,7 @@ def _clique_masks(n: int, r: int) -> list[int]:
                   for group in combinations(range(n), r))
 
 
-def _one_slot(build):
-    """Cache ``build`` for its most recent arguments only.  A call with
-    other arguments drops the held value before it builds the next, so
-    at most one is alive.  ``cache_info()`` counts hits and misses as
-    ``lru_cache`` does, and the drop resets neither: a caller that
-    compares the misses before and after a call sees every build."""
-    held: dict = {}  # arguments -> value, at most one entry
-    stats = {"hits": 0, "misses": 0}
-
-    @wraps(build)
-    def cached(*args):
-        if args in held:
-            stats["hits"] += 1
-            return held[args]
-        stats["misses"] += 1
-        held.clear()
-        held[args] = value = build(*args)
-        return value
-
-    def cache_clear() -> None:
-        held.clear()
-        stats.update(hits=0, misses=0)
-
-    cached.cache_info = lambda: SimpleNamespace(maxsize=1, currsize=len(held), **stats)
-    cached.cache_clear = cache_clear
-    return cached
-
-
-@_one_slot
+@lru_cache(maxsize=1)
 def _clique_numbers(n: int) -> np.ndarray:
     """The clique number of every n-vertex edge mask, as uint8: a mask
     is K_{k+1}-free iff its entry is at most k.
@@ -490,15 +463,16 @@ def _placement_histogram(n: int, core: tuple[int, ...]) -> tuple[np.ndarray, np.
     return np.unique(demanded, return_counts=True)
 
 
-@_one_slot
+@lru_cache(maxsize=0)
 def _inj_counts_all_graphs(n: int, comps: tuple[int, ...]) -> np.ndarray:
     """Injective homomorphism counts of the forest for every edge mask:
     the histogram of the edge masks that its placements into K_n demand,
     subset-summed so entry G holds the number of placements inside G.
 
     The search passes the edge core; isolated components, if any, are
-    placed like the others and demand no edge.  One entry is kept, and
-    it is dropped before the next is built.
+    placed like the others and demand no edge.  Nothing is kept: the
+    cache of size 0 only counts each build as a miss in ``cache_info()``,
+    which the benchmark's tracer reads to book the array's bytes.
     """
     import numpy as np
 
@@ -601,11 +575,7 @@ def _core_search(n: int, core: tuple[int, ...], ks: tuple[int, ...],
     count at most C(n, n // 2), 720 and 20 at n = 6."""
     # the pre-flight runs here, once per batch, so a search whose core
     # is cached reads no /proc/meminfo
-    need = _peak_bytes(n, len(ks), witness_cap)
-    avail = _mem_available()
-    if avail is not None and need > avail:
-        raise ValueError(f"n={n} needs about {need >> 20} MiB of arrays, "
-                         f"only {avail >> 20} MiB available")
+    _check_memory(_peak_bytes(n, len(ks), witness_cap), f"n={n} needs", "arrays")
     if n <= _SMALL_N:
         bits = _edge_bits(n)
         back = [pos for pos, flag in enumerate(back_edge_flags(core)) if flag]
@@ -643,6 +613,17 @@ def _mem_available() -> int | None:
     return None
 
 
+def _check_memory(need: int, needs: str, of: str) -> None:
+    """Refuse, with ValueError, a request whose ``need`` bytes exceed
+    the memory available now: "<needs> about <need> MiB of <of>, only
+    <available> MiB available".  Where that is unknown nothing is
+    refused."""
+    avail = _mem_available()
+    if avail is not None and need > avail:
+        raise ValueError(f"{needs} about {need >> 20} MiB of {of}, "
+                         f"only {avail >> 20} MiB available")
+
+
 def _peak_bytes(n: int, batch: int = 1, witness_cap: int = WITNESS_CAP_DEFAULT) -> int:
     """Upper estimate of the bytes one batch of searches allocates, for
     ``batch`` values of k: its arrays, the witnesses it keeps, the
@@ -655,14 +636,16 @@ def _peak_bytes(n: int, batch: int = 1, witness_cap: int = WITNESS_CAP_DEFAULT) 
     tracemalloc at n = 6, against an estimate of 0.65 MB."""
     size = 1 << (n * (n - 1) // 2)
     shard = min(size, _SHARD_SIZE)
-    # one uint16 count array and one uint8 clique-number array, each
-    # dropped before the next is built; then the scan's temporaries of
-    # one shard and one k: the bool selection, the masked uint16 product
-    # of its max or its bool tie mask, and the int64 tie indices.  While
-    # an array is built: at most n! placements, each about 24 bytes a
-    # vertex of intp rows and their temporaries plus 48 bytes of int64
-    # masks, seeds and temporaries, and the gathered block of seeded
-    # uint16 rows, at most one row per seed
+    # one uint16 count array, freed when the search returns, and one
+    # uint8 clique-number array (n = 7's 2 MiB may still be alive while
+    # n = 8 builds its own, less than the count build's temporaries,
+    # freed by then); then the scan's temporaries of one shard and one
+    # k: the bool selection, the masked uint16 product of its max or its
+    # bool tie mask, and the int64 tie indices.  While an array is
+    # built: at most n! placements, each about 24 bytes a vertex of intp
+    # rows and their temporaries plus 48 bytes of int64 masks, seeds and
+    # temporaries, and the gathered block of seeded uint16 rows, at most
+    # one row per seed
     build = perm(n, n) * (24 * n + 48) + min(perm(n, n) << _ROW_BITS, size) * 2
     # every k keeps its tied masks, ints in a list and then a tuple, and
     # one search at a time builds a SmallGraph for each of its witnesses

@@ -10,9 +10,10 @@ from itertools import permutations
 
 
 def clear_engine_caches():
-    """Drop every cached search result, count array, clique-number array
-    and DP memo, so that the next search or count runs from cold caches
-    instead of reading back what an earlier one stored."""
+    """Drop every cached search result, the kept clique-number array and
+    the DP memo, and zero the count-array builder's counters, so that the
+    next search or count runs from cold caches instead of reading back
+    what an earlier one stored."""
     from turangood import multipartite, oracle
     for cached in (oracle._core_search, oracle._inj_counts_all_graphs,
                    oracle._clique_numbers, multipartite._core_memo):

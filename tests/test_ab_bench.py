@@ -36,7 +36,12 @@ PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]   # IQR 0.
     ([0.968] * 10, "lower", 0.02, "same"),
     # a metric that never moves, such as ok_ratio
     ([1.0] * 10, "higher", 0.001, "same"),
+    # better in every pair of the first 2 or 9 runs: too few pairs to tell
+    ([p - 0.5 for p in PARENT[:2]], "lower", 0.25, "unresolved"),
+    ([p - 0.1 for p in PARENT[:9]], "lower", 0.25, "unresolved"),
+    # worse needs no minimum
+    ([p * 1.3 for p in PARENT[:2]], "lower", 0.25, "worse"),
 ])
 def test_verdict(change, better, bound, expected):
     parent = [1.0] * 10 if better == "higher" and bound == 0.001 else PARENT
-    assert ab_bench.verdict(parent, change, better, bound) == expected
+    assert ab_bench.verdict(parent[:len(change)], change, better, bound) == expected

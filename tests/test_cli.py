@@ -564,7 +564,7 @@ class TestGridMemory:
         for fn in ("verify_multipartite_max", "verify_conjecture"):
             monkeypatch.setattr(verify_mod, fn, refuse)
         monkeypatch.setattr(cli, "count_copies_turan", refuse)
-        monkeypatch.setattr(cli, "_mem_available", lambda: need - 1)
+        monkeypatch.setattr(oracle, "_mem_available", lambda: need - 1)
         assert invoke(capsys, *argv.split()) == (
             2, "", f"turangood: error: 10 (n, k) pairs need about 0 MiB of results, "
                    f"only 0 MiB available\n")
@@ -575,7 +575,7 @@ class TestGridMemory:
         expected = invoke(capsys, *argv.split())
         assert expected[0] == 0
         for avail in (need, None):
-            monkeypatch.setattr(cli, "_mem_available", lambda: avail)
+            monkeypatch.setattr(oracle, "_mem_available", lambda: avail)
             assert invoke(capsys, *argv.split()) == expected
 
 

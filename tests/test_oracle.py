@@ -450,9 +450,9 @@ class TestLeanEngine:
     @pytest.mark.parametrize("comps", [(7,), (6,), (4, 3)])
     def test_peak_estimate_covers_seeded_rows(self, monkeypatch, comps):
         # the cores with the most seeded rows at n = 7, built while the
-        # clique numbers of an earlier search are alive, as each cache
-        # holds one array; small shards keep the scan's temporaries below
-        # the build's, which the estimate must then cover
+        # clique numbers of an earlier search are alive, as the latest n's
+        # are kept; small shards keep the scan's temporaries below the
+        # build's, which the estimate must then cover
         monkeypatch.setattr(oracle, "_SHARD_SIZE", 1 << 12)
         clear_engine_caches()
         tracemalloc.start()
@@ -536,56 +536,26 @@ class TestCliqueNumbers:
                     assert _clique_free_selector(n, r, 0, size).all(), (n, r)
 
 
-class TestOneSlotCache:
-    """``_one_slot`` holds the value of the latest arguments only, drops
-    it before building the next, and counts as ``lru_cache`` does."""
+class TestEngineCaches:
+    """No count array outlives the call that builds it, and the clique
+    numbers of the latest n are kept; both caches count every build."""
 
-    def test_counts_and_clear(self):
-        built = []
-
-        @oracle._one_slot
-        def square(x):
-            built.append(x)
-            return [x * x]
-
-        assert square(2) == [4] and square(3) == [9] and square(2) == [4]
-        info = square.cache_info()
-        assert (info.hits, info.misses, info.maxsize, info.currsize) == (0, 3, 1, 1)
-        held = square(2)
-        assert square(2) is held and square.cache_info().hits == 2
-        assert built == [2, 3, 2]
-        square.cache_clear()
-        info = square.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
-        assert square(2) is not held and built == [2, 3, 2, 2]
-
-    def test_drops_before_building(self):
-        class Box:
-            pass
-
-        alive = []
-
-        @oracle._one_slot
-        def box(key):
-            assert [ref() for ref in alive] == [None] * len(alive), key
-            b = Box()
-            alive.append(weakref.ref(b))
-            return b
-
-        for key in "ABAB":
-            box(key)
-        assert box.cache_info().misses == 4
-        assert [ref() is not None for ref in alive] == [False, False, False, True]
-
-    def test_engine_caches_hold_one_array(self):
+    def test_count_arrays_are_not_kept(self):
         clear_engine_caches()
-        for comps in [(3,), (2, 2), (3,)]:
-            _inj_counts_all_graphs(7, comps)
+        refs = [weakref.ref(_inj_counts_all_graphs(7, comps))
+                for comps in [(3,), (2, 2), (3,)]]
+        assert [ref() for ref in refs] == [None] * 3
+        info = _inj_counts_all_graphs.cache_info()
+        assert (info.hits, info.misses, info.maxsize, info.currsize) == (0, 3, 0, 0)
+
+    def test_clique_numbers_keep_the_latest_n(self):
+        clear_engine_caches()
         for n in (7, 6, 7):
             _clique_numbers(n)
-        for cached in (_inj_counts_all_graphs, _clique_numbers):
-            info = cached.cache_info()
-            assert (info.hits, info.misses, info.currsize) == (0, 3, 1)
+        info = _clique_numbers.cache_info()
+        assert (info.hits, info.misses, info.maxsize, info.currsize) == (0, 3, 1, 1)
+        assert _clique_numbers(7) is _clique_numbers(7)
+        assert _clique_numbers.cache_info().hits == 2
         clear_engine_caches()
         assert _clique_numbers.cache_info().currsize == 0
 

@@ -267,7 +267,7 @@ class TestTracedRuns:
             (133_501 + 1_486_597 + 2_062_844) / (3 << 21))
 
 
-def test_one_count_array_outlives_searches():
+def test_no_count_array_outlives_searches():
     code = ("import gc\n"
             "import numpy as np\n"
             "from turangood import LinearForest, extremal_search\n"
@@ -280,12 +280,12 @@ def test_one_count_array_outlives_searches():
             "print(len(live))\n")
     proc = python("-c", code)
     assert proc.returncode == 0, proc.stderr.decode()
-    assert int(proc.stdout) <= 1
+    assert int(proc.stdout) == 0
 
 
 def test_one_array_of_each_kind_while_holding_one():
-    # each array cache drops its entry before it builds the next, so the
-    # count array and the clique numbers are one array each at every n
+    # no count array outlives its search, and only the clique numbers of
+    # the latest n are kept, so one 2^21-entry array is alive
     specs = [((3,), 2), ((3,), 3), ((3,), 4), ((3, 1), 3), ((2, 2), 2), ((2, 2), 4)]
     code = ("import gc, json, tracemalloc\n"
             "import numpy as np\n"
@@ -306,7 +306,7 @@ def test_one_array_of_each_kind_while_holding_one():
     assert proc.returncode == 0, proc.stderr.decode()
     out = json.loads(proc.stdout)
     assert out["peak"] <= out["need"]
-    assert out["live"] in ([], ["uint8"], ["uint16"], ["uint16", "uint8"])
+    assert out["live"] == ["uint8"]
     assert out["found"] == [repr(extremal_search(LinearForest(c), 7, k)) for c, k in specs]
 
 
@@ -386,3 +386,18 @@ def test_cli_diff_finds_no_difference_between_the_repo_and_itself():
     proc = python(str(root / "tools" / "cli_diff.py"), str(root), str(root), "--seeds", "1")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.endswith(b" argvs, 0 differ\n")
+
+
+def test_cache_traffic_reads_the_sweep_caches():
+    # a sweep runs the counting DP alone: its memo hits, and the
+    # exhaustive engine's array caches are never called
+    root = Path(__file__).resolve().parents[1]
+    proc = python(str(root / "tools" / "cache_traffic.py"), str(root),
+                  "--workload", "sweep", "--seeds", "1")
+    assert proc.returncode == 0, proc.stderr.decode()
+    rows = {cols[2]: [int(c) for c in cols[3:]]
+            for cols in map(str.split, proc.stdout.decode().splitlines()[1:])
+            if cols[:2] == ["sweep", "1"]}
+    assert rows["multipartite._core_memo"][0] > 0
+    assert rows["oracle._inj_counts_all_graphs"] == [0, 0, 0]
+    assert rows["oracle._clique_numbers"] == [0, 0, 0]

@@ -52,11 +52,13 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     pair order, which way is better ("lower" or "higher") and the relative
     bound by which the metric may worsen:
 
-    - ``better``: the change wins at least 9 of 10 pairs, and its median
-      beats the parent's by more than the parent's interquartile range;
+    - ``better``: there are at least 10 pairs, the change wins at least
+      9 of every 10 of them, and its median beats the parent's by more
+      than the parent's interquartile range;
     - ``worse``: the change's median is worse than the parent's by more
       than ``bound`` times the parent's median;
-    - ``unresolved``: the parent's interquartile range is wider than
+    - ``unresolved``: the change would read ``better`` but from fewer
+      than 10 pairs; or the parent's interquartile range is wider than
       ``bound`` times its median, and not every change run beats every
       parent run;
     - ``same``: otherwise.
@@ -65,7 +67,7 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     p_med, c_med = statistics.median(parent), statistics.median(change)
     q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
     if 10 * wins(parent, change, better) >= 9 * len(parent) and sign * (c_med - p_med) > q3 - q1:
-        return "better"
+        return "better" if len(parent) >= 10 else "unresolved"
     if sign * (p_med - c_med) > bound * abs(p_med):
         return "worse"
     beats_all = min(change) > max(parent) if sign > 0 else max(change) < min(parent)

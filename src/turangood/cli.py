@@ -114,13 +114,14 @@ def cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-# Bytes a request holds per (n, k) pair until it prints (its result as
-# objects, JSON text, CSV rows and human blocks), plus, for ``verify``,
-# per part of the host partition each report lists.  Peak RSS per pair,
-# JSON, in a fresh interpreter: table 1.3 KB; conjecture 2.7 KB at n = 3;
-# multipartite-max 3.5, 4.2, 6.2 and 7.9 KB at n = 3, 12, 24 and 36.
+# Bytes a request holds until it prints (its result as objects, JSON
+# text, CSV rows and human blocks): per (n, k) pair, and per int a report
+# lists (a part of a ``verify`` host, an n of an identity window).  Peak
+# RSS, JSON, in a fresh interpreter: table 1.3 KB a pair; conjecture
+# 2.7 KB at n = 3; multipartite-max 3.5, 4.2, 6.2 and 7.9 KB at n = 3, 12,
+# 24 and 36; an identity window 148 and 167 bytes an n at 10^5 and 10^6 n.
 _PAIR_BYTES = 4096
-_PART_BYTES = 256
+_ITEM_BYTES = 256
 
 
 def _grid(args: argparse.Namespace) -> Iterator[tuple[int, int]]:
@@ -132,7 +133,7 @@ def _grid(args: argparse.Namespace) -> Iterator[tuple[int, int]]:
     (n_lo, n_hi), (k_lo, k_hi) = args.n, args.k
     pairs = (n_hi - n_lo + 1) * (k_hi - k_lo + 1)
     parts = max(min(n_hi, k_hi), 0) if args.subcommand == "verify" else 0
-    _check_memory(pairs * (_PAIR_BYTES + _PART_BYTES * parts), f"{pairs} (n, k) pairs need",
+    _check_memory(pairs * (_PAIR_BYTES + _ITEM_BYTES * parts), f"{pairs} (n, k) pairs need",
                   "results")
     return ((n, k) for k in range(k_lo, k_hi + 1) for n in range(n_lo, n_hi + 1))
 
@@ -143,9 +144,13 @@ def _balance(args: argparse.Namespace) -> list:
     return [verify_mod.verify_balancing_monotone(args.forest, args.parts)]
 
 
-def _n_window(args: argparse.Namespace) -> range:
+def _n_window(args: argparse.Namespace, reports: int = 1) -> range:
+    """The n of an identity sweep, which each report lists: refused before
+    anything is counted when the lists would not fit in memory now."""
     v = args.forest.total_vertices
     lo, hi = args.n or (v, v + 4)  # default window [|V(H)|, |V(H)| + 4]
+    _check_memory((hi - lo + 1) * reports * _ITEM_BYTES, f"{hi - lo + 1} n values need",
+                  "results")
     return range(lo, hi + 1)
 
 
@@ -155,7 +160,7 @@ def _identity(parity: int, verifier: str, args: argparse.Namespace) -> list:
     if not orders:
         raise ValueError(f"forest {args.forest} has no "
                          + ("odd component of order >= 3" if parity else "even component"))
-    n_range = _n_window(args)
+    n_range = _n_window(args, len(orders))
     return [getattr(verify_mod, verifier)(args.forest, order, n_range) for order in orders]
 
 

@@ -25,18 +25,17 @@ one part, makes no move into f, so exactly the states a vertex-by-vertex
 search reaches are visited (about a + b for a path in K_{a,b}, not ab).
 The last four vertices have a closed form in the power sums of the caps
 (see ``_tail``), so the deepest three positions hold no states and the
-one before them computes no moves.  A P2 or P3 core has no memo: each
-host is counted at its root (``_short_path``).
+one before them computes no moves; an edge core of at most four vertices
+has no memo, as each host is counted at its root.
 
-A state's value depends only on the core, so the memo is kept per core
-and shared by every host and every forest with that core (F and F - P1
-share one); it holds the two most recently used cores.  Each position
-maps caps -> count where a path starts (marker -1 only) and
-caps -> {marker: count} elsewhere.  ``count_injective_homs_many`` counts
-a batch of hosts on one n in one pass: a forward pass collects, layer by
-layer, the states the memo lacks, and a backward pass fills them in, so
-a state many hosts reach is counted once and paths of any length count
-without recursion.  ``count_injective_homs`` is a batch of one.
+A state's value depends only on the core, so the memo (``_core_memo``)
+is kept per core and shared by every host and every forest with that
+core (F and F - P1 share one); it holds the two most recently used
+cores.  ``count_injective_homs_many`` counts a batch of hosts on one n
+in one pass: a forward pass collects, layer by layer, the states the
+memo lacks, and a backward pass fills them in, so a state many hosts
+reach is counted once and paths of any length count without recursion.
+``count_injective_homs`` is a batch of one.
 
 Copy counts divide out the forest's automorphisms; the division is
 always exact.  All arithmetic uses Python's unbounded integers, so
@@ -128,60 +127,54 @@ def _turan_k(n: int, k: int) -> int:
 
 @lru_cache(maxsize=2)
 def _core_memo(core: tuple[int, ...]) -> tuple[tuple[bool, ...], list[dict]]:
-    """The edge core's back-edge flags and memo, one dict per position but
-    the last three: where a path starts it maps caps -> count of ways to
-    place the rest (marker -1 only), elsewhere caps -> {marker: count}.
-    Two cores are kept, as the identity verifiers alternate a forest and
-    its shrunk forest; more only cost memory.  No lock guards a memo: the
-    package runs the DP on one thread only."""
+    """The back-edge flags and memo of an edge core of at least 5 vertices,
+    one dict per position but the last three: where a path starts it maps
+    caps -> count of ways to place the rest (marker -1 only), elsewhere
+    caps -> {marker: count}.  Two cores are kept, as the identity verifiers
+    alternate a forest and its shrunk forest; more only cost memory.  No
+    lock guards a memo: the package runs the DP on one thread only."""
     flags = back_edge_flags(core)
     return flags, [{} for _ in range(len(flags) - 3)]
 
 
-def _short_path(order: int, caps: tuple[int, ...]) -> int:
-    """Injective homomorphisms of P2 (order 2) or P3 into the host with
-    the given parts: s^2 - q or s^3 - s^2 - 2sq + q + u, where s, q, u
-    are the sums of c, c^2, c^3 over the parts."""
-    s = sum(caps)
-    q = sum(c * c for c in caps)
-    if order == 2:
-        return s * s - q
-    return s * s * (s - 1) - 2 * s * q + q + sum(c * c * c for c in caps)
-
-
-def _tail(caps: tuple[int, ...], bind2: bool, bind3: bool) -> tuple[int, int, int, int, int]:
-    """The ways to place the last four vertices v1..v4 on the caps, as
-    (H, a0, a1, a2, a3).  v4 is always bound to v3; bind2 and bind3 say
-    whether v2 is bound to v1 and v3 to v2.  With no part forbidden to v1
-    the count is H; with a forbidden part of capacity f > 0 it is H - h(f),
-    where h(f) = f(a0 + a1 f + a2 f^2 + a3 f^3).
+def _tail(caps: tuple[int, ...], binds: tuple[bool, ...]) -> tuple[int, ...]:
+    """The ways to place the last vertices v1, v2, ... of an edge core on
+    the caps.  ``binds`` holds the back-edge flags of v2, v3, ... (the
+    last is always True).  One or two flags count a whole P2 or P3 core
+    at its root, as (H,); three count the last four vertices of a longer
+    core, as (H, a0, a1, a2, a3).  With no part forbidden to v1 the count
+    is H; with a forbidden part of capacity f > 0 it is H - h(f), where
+    h(f) = f(a0 + a1 f + a2 f^2 + a3 f^3).
 
     With s, q, u, w the sums of c, c^2, c^3, c^4 over the caps:
 
-    - bound, bound (a path tail):
+    - a P2 or P3 core: H = s^2 - q or s^3 - s^2 - 2sq + q + u;
+    - bound, bound, bound (a path tail):
       H = s^4 - 3s^3 - 3s^2 q + s^2 + 7sq + 2su + q^2 - q - 4u - w,
       h(f)/f = -f^3 + (s - 4)f^2 + (-s^2 + 5s + q - 1)f
                + s^3 - 3s^2 - 2sq + s + 2q + u;
-    - bound, start (v3 v4 is a P2):
+    - bound, start, bound (v3 v4 is a P2):
       H = s^4 - 4s^3 - 2s^2 q + 2s^2 + 8sq + q^2 - 2q - 4u,
       h(f)/f = -4f^2 + (-s^2 + 6s + q - 2)f + s^3 - 4s^2 - sq + 2s + 2q;
-    - start, bound (v2 v3 v4 is a P3):
+    - start, bound, bound (v2 v3 v4 is a P3):
       H = s^4 - 4s^3 - 2s^2 q + 3s^2 + 7sq + su - 3q - 3u,
       h(f)/f = -3f^2 + (4s - 3)f + s^3 - 4s^2 - 2sq + 3s + 3q + u.
 
     Each is the recursion V(caps, f) = sum over parts i of
     c_i V'(caps - e_i, c_i - 1 if the next vertex is bound), less the
-    term of the forbidden part, expanded four vertices deep.  (A start
+    term of the forbidden part, expanded to the last vertex.  (A start
     at v2 and at v3 would make v2 an isolated vertex, which no edge
     core has.)"""
     s = sum(caps)
     q = sum(c * c for c in caps)
     u = sum(c * c * c for c in caps)
     ss = s * s
-    if not bind3:
+    if len(binds) < 3:
+        return (ss - q if len(binds) == 1 else ss * (s - 1) - 2 * s * q + q + u,)
+    if not binds[1]:
         return (ss * (ss - 4 * s - 2 * q + 2) + 8 * s * q + q * q - 2 * q - 4 * u,
                 s * (ss - 4 * s - q + 2) + 2 * q, -ss + 6 * s + q - 2, -4, 0)
-    if not bind2:
+    if not binds[0]:
         return (ss * (ss - 4 * s - 2 * q + 3) + s * (7 * q + u) - 3 * q - 3 * u,
                 s * (ss - 4 * s - 2 * q + 3) + 3 * q + u, 4 * s - 3, -3, 0)
     w = sum(c * c * c * c for c in caps)
@@ -244,9 +237,9 @@ def _fill(flags: tuple[bool, ...], memo: list[dict], roots: Iterable) -> None:
         todo = nxt
     # the last four vertices in closed form (see _tail)
     here = memo[last]
-    marked, bind2, bind3 = flags[last:last + 3]
+    marked, binds = flags[last], flags[last + 1:]
     for caps, marks in todo.items():
-        total, a0, a1, a2, a3 = _tail(caps, bind2, bind3)
+        total, a0, a1, a2, a3 = _tail(caps, binds)
         if not marked:
             here[caps] = total
             continue
@@ -288,8 +281,9 @@ def count_injective_homs_many(forest: LinearForest, hosts: Iterable[PartsLike]) 
     core, factor = edge_core(forest.components, n)
     if not core:
         return [factor] * len(batch)
-    if core in ((2,), (3,)):
-        return [factor * _short_path(core[0], sizes) for sizes in batch]
+    if sum(core) <= 4:
+        binds = back_edge_flags(core)[1:]
+        return [factor * _tail(sizes, binds)[0] for sizes in batch]
     flags, memo = _core_memo(core)
     top = memo[0]
     new = [sizes for sizes in batch if sizes not in top]

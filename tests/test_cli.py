@@ -579,6 +579,41 @@ class TestGridMemory:
             assert invoke(capsys, *argv.split()) == expected
 
 
+class TestWindowMemory:
+    """An identity --n window whose n lists (one per report) cannot fit in
+    the memory available is refused with exit 2 before anything is counted."""
+
+    WINDOWS = {  # argv with a 10-value window: its bytes at 256 an n and report
+        "odd-identity": ("verify odd-identity --forest 5,3 --n 5..14", 10 * 2 * 256),
+        "even-identity": ("verify even-identity --forest 2,1 --n 5..14", 10 * 256),
+        "isolated-identity": ("verify isolated-identity --forest 2,1 --n 5..14", 10 * 256),
+    }
+
+    @pytest.mark.parametrize("name", sorted(WINDOWS))
+    def test_refused_when_one_byte_short(self, capsys, monkeypatch, name):
+        argv, need = self.WINDOWS[name]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("counted a window that was refused")
+
+        for fn in ("verify_odd_extension_identity", "verify_even_extension_identity",
+                   "verify_isolated_identity"):
+            monkeypatch.setattr(verify_mod, fn, refuse)
+        monkeypatch.setattr(oracle, "_mem_available", lambda: need - 1)
+        assert invoke(capsys, *argv.split()) == (
+            2, "", "turangood: error: 10 n values need about 0 MiB of results, "
+                   "only 0 MiB available\n")
+
+    @pytest.mark.parametrize("name", sorted(WINDOWS))
+    def test_runs_when_it_fits_or_memory_is_unknown(self, capsys, monkeypatch, name):
+        argv, need = self.WINDOWS[name]
+        expected = invoke(capsys, *argv.split())
+        assert expected[0] == 0
+        for avail in (need, None):
+            monkeypatch.setattr(oracle, "_mem_available", lambda: avail)
+            assert invoke(capsys, *argv.split()) == expected
+
+
 _VERIFIERS = {  # each claim: its verifier on turangood.verify, the options it needs
     "multipartite-max": ("verify_multipartite_max", ["--n", "3", "--k", "2"]),
     "balance": ("verify_balancing_monotone", ["--parts", "1,3"]),

@@ -296,8 +296,9 @@ def _plain(caps, binds, forbidden=None):
 
 
 class TestTail:
-    """The closed forms of the last four vertices and of P2 and P3 cores,
-    on every caps of at most 5 parts of size at most 5 and every marker."""
+    """The closed forms of the last four vertices and of every edge core of
+    at most four vertices, on every caps of at most 5 parts of size at
+    most 5 and every marker."""
 
     @pytest.mark.parametrize("bind2, bind3", [(True, True), (True, False), (False, True)],
                              ids=["path", "then-P2", "then-P3"])
@@ -317,21 +318,23 @@ class TestTail:
         for (caps, f), got in states.items():
             assert got == _plain(caps, binds, caps.index(f) if f > 0 else None), (caps, f)
 
-    @pytest.mark.parametrize("order", [2, 3])
-    def test_short_cores_are_counted_at_the_root(self, order):
+    @pytest.mark.parametrize("core", [(2,), (3,), (4,), (2, 2)], ids=["2", "3", "4", "2,2"])
+    def test_short_cores_are_counted_at_the_root(self, core):
         multipartite._core_memo.cache_clear()
-        count_injective_homs(LinearForest((4,)), (2, 2))
+        count_injective_homs(LinearForest((5,)), (2, 2, 1))
+        before = multipartite._core_memo.cache_info()
+        binds = tuple(t > 0 for c in core for t in range(c))[1:]
         for caps in _hosts(5, 5):
-            got = count_injective_homs(LinearForest((order,)), caps)
-            assert got == _plain(caps, (True,) * (order - 1)), caps
-            assert count_injective_homs(LinearForest((order, 1)), caps) == (
-                got * max(sum(caps) - order, 0))
-        assert multipartite._core_memo.cache_info().currsize == 1
-        assert _memo_holds((4,))
+            got = count_injective_homs(LinearForest(core), caps)
+            assert got == _plain(caps, binds), caps
+            assert count_injective_homs(LinearForest(core + (1,)), caps) == (
+                got * max(sum(caps) - sum(core), 0))
+        assert multipartite._core_memo.cache_info() == before
+        assert _memo_holds((5,))
 
 
 def test_memo_keeps_all_positions_but_the_last_three():
-    for core in all_forests(9, 4):
+    for core in all_forests(9, 5):
         if min(core) >= 2:
             flags, memo = multipartite._core_memo(core)
             assert len(memo) == sum(core) - 3 == len(flags) - 3
@@ -407,7 +410,7 @@ class TestBatch:
         with pytest.raises(ValueError):
             count_injective_homs_many(LinearForest((3, 2)), [(3, 2), (3, 3)])
 
-    @pytest.mark.parametrize("comps, n, k", [((4, 3, 2), 14, 4), ((6,), 17, 5), ((2, 2, 1), 12, 6)])
+    @pytest.mark.parametrize("comps, n, k", [((4, 3, 2), 14, 4), ((6,), 17, 5), ((3, 2, 1), 12, 6)])
     def test_memo_holds_exactly_the_reachable_states(self, comps, n, k):
         multipartite._core_memo.cache_clear()
         forest = LinearForest(comps)

@@ -21,10 +21,11 @@ SRC = str(Path(turangood.__file__).resolve().parents[1])
 BENCH = str(Path(__file__).resolve().parents[1] / "bench")
 
 
-def python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+def python(*args: str, stdout=subprocess.PIPE, cwd=None) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
-                          stdout=stdout, stderr=subprocess.PIPE, check=False, timeout=120)
+                          stdout=stdout, stderr=subprocess.PIPE, check=False, timeout=120,
+                          cwd=cwd)
 
 
 def modules_added(*argvs: list[str]) -> list[set[str]]:
@@ -381,9 +382,30 @@ def test_huge_grid_is_refused_at_once(argv):
     assert time.perf_counter() - start < 10
 
 
+@pytest.mark.skipif(oracle._mem_available() is None, reason="no MemAvailable to compare with")
+def test_huge_identity_window_is_refused_at_once():
+    start = time.perf_counter()
+    proc = python("-m", "turangood", "verify", "odd-identity", "--forest", "3",
+                  "--n", "5..1000000000")
+    assert proc.returncode == 2, proc.stderr.decode()
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"turangood: error: 999999996 n values need about ")
+    assert time.perf_counter() - start < 10
+
+
 def test_cli_diff_finds_no_difference_between_the_repo_and_itself():
     root = Path(__file__).resolve().parents[1]
     proc = python(str(root / "tools" / "cli_diff.py"), str(root), str(root), "--seeds", "1")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.endswith(b" argvs, 0 differ\n")
+
+
+def test_cli_diff_takes_a_checkout_path_relative_to_the_caller():
+    # the child runs in the checkout, so a relative path must be resolved
+    # before it becomes the child's PYTHONPATH
+    root = Path(__file__).resolve().parents[1]
+    proc = python(str(root / "tools" / "cli_diff.py"), root.name, root.name, "--seeds", "1",
+                  cwd=root.parent)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.endswith(b" argvs, 0 differ\n")
 

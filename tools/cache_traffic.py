@@ -21,11 +21,9 @@ Stdlib only; nothing under ``bench/`` is written.
 """
 
 import argparse
-import json
-import os
-import subprocess
-import sys
 from pathlib import Path
+
+from cli_diff import load_workloads, run_child
 
 CHILD = """
 import contextlib, io, json, sys
@@ -45,26 +43,6 @@ json.dump(caches, sys.stdout)
 """
 
 FIELDS = ("hits", "misses", "currsize")
-
-
-def load_workloads(checkout: Path):
-    """CHECKOUT's ``bench/workloads.py`` as a module."""
-    sys.dont_write_bytecode = True  # leave no __pycache__ under bench/
-    sys.path.insert(0, str(checkout / "bench"))
-    import workloads
-    return workloads
-
-
-def traffic(checkout: Path, argv_list: list[list[str]]) -> dict:
-    """cache name -> [hits, misses, currsize] after argv_list ran in one
-    fresh interpreter."""
-    env = {key: val for key, val in os.environ.items() if not key.startswith("TURANGOOD_")}
-    env.update(PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(checkout / "src"))
-    proc = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(argv_list),
-                          cwd=checkout, env=env, capture_output=True, text=True, check=False)
-    if proc.returncode:
-        raise SystemExit(f"cache_traffic: an op raised:\n{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout)
 
 
 def span(values: list[int]) -> str:
@@ -87,7 +65,7 @@ def main() -> None:
         for seed in args.seeds:
             argv_list = [op["argv"] for op in workloads.build(name, seed)]
             groups = ([[argv] for argv in argv_list] if name == "cli-mix" else [argv_list])
-            runs = [traffic(args.checkout, group) for group in groups]
+            runs = [run_child(args.checkout, CHILD, group) for group in groups]
             for cache in sorted({c for run in runs for c in run}):
                 cols = [span([run[cache][i] for run in runs if cache in run])
                         for i in range(len(FIELDS))]

@@ -6,10 +6,9 @@ Usage, from any directory:
 
 The argvs are every op of the benchmark's workloads (CHANGE's
 ``bench/workloads.py``) at seeds 1..N (default 1), ``-h`` of each command,
-and a fixed list of usage errors and vacuous ranges.  Each checkout runs
-all of them through ``turangood.cli.run`` in one fresh interpreter, with
-its own ``src`` on the path, no TURANGOOD_* variables and
-PYTHONDONTWRITEBYTECODE=1.  The first argv whose exit code, stdout or
+and a fixed list of usage errors, vacuous ranges and short-core counts.
+Each checkout runs all of them through ``turangood.cli.run`` in one fresh
+interpreter (``run_child``).  The first argv whose exit code, stdout or
 stderr differ is printed; the exit code is 1 on any difference, else 0.
 Stdlib only; nothing under ``bench/`` is written.
 """
@@ -47,6 +46,14 @@ FIXED = [
     ["count", "--forest", "2", "--turan", "0/4"],
     ["count", "--forest", "2", "--turan", "5/0"],
     ["count", "--forest", "2", "--turan", "-1/4"],
+    # edge cores of at most four vertices, counted at their root, on hosts
+    # the workloads do not use
+    ["count", "--forest", "4,1", "--parts", "700,600,500"],
+    ["count", "--forest", "2,2", "--turan", "1000/7"],
+    ["table", "--forest", "3", "--n", "1..40", "--k", "1..6"],
+    ["verify", "multipartite-max", "--forest", "2,2,1", "--n", "40", "--k", "5"],
+    ["verify", "balance", "--forest", "4", "--parts", "12,1,1"],
+    ["verify", "even-identity", "--forest", "4,2", "--n", "6..30"],
 ]
 
 CHILD = """
@@ -65,21 +72,39 @@ json.dump({"module": cli.__file__, "results": results}, sys.stdout)
 """
 
 
-def argvs(change: Path, seeds: int) -> list[list[str]]:
+def load_workloads(checkout: Path):
+    """The checkout's ``bench/workloads.py`` as a module."""
     sys.dont_write_bytecode = True  # leave no __pycache__ under bench/
-    sys.path.insert(0, str(change / "bench"))
+    sys.path.insert(0, str(checkout.resolve() / "bench"))
     import workloads
+    return workloads
+
+
+def run_child(checkout: Path, code: str, argv_list: list[list[str]]):
+    """The JSON that ``code`` prints when it runs in a fresh interpreter
+    in the checkout, with the checkout's ``src`` on the path, no
+    TURANGOOD_* variables, PYTHONDONTWRITEBYTECODE=1 and argv_list as
+    JSON on stdin.  A child that fails stops the tool with its stderr."""
+    root = checkout.resolve()
+    env = {key: val for key, val in os.environ.items() if not key.startswith("TURANGOOD_")}
+    env.update(PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], input=json.dumps(argv_list),
+                          cwd=root, env=env, capture_output=True, text=True, check=False)
+    if proc.returncode:
+        raise SystemExit(f"{Path(sys.argv[0]).stem}: the child in {checkout} failed:\n"
+                         f"{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
+
+
+def argvs(change: Path, seeds: int) -> list[list[str]]:
+    workloads = load_workloads(change)
     ops = [op["argv"] for seed in range(1, seeds + 1)
            for name in workloads.WORKLOADS for op in workloads.build(name, seed)]
     return ops + FIXED
 
 
 def outputs(checkout: Path, argv_list: list[list[str]]) -> list:
-    env = {key: val for key, val in os.environ.items() if not key.startswith("TURANGOOD_")}
-    env.update(PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(checkout / "src"))
-    proc = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(argv_list),
-                          cwd=checkout, env=env, capture_output=True, text=True, check=True)
-    doc = json.loads(proc.stdout)
+    doc = run_child(checkout, CHILD, argv_list)
     if not Path(doc["module"]).resolve().is_relative_to(checkout.resolve()):
         raise SystemExit(f"cli_diff: {checkout} ran {doc['module']}, not its own package")
     return doc["results"]

@@ -6,9 +6,9 @@ of ``verify`` is "counterexample", 2 on usage or parse errors, 3 on an
 internal error of an engine (a failed self-check, an overflow guard,
 running out of memory or of recursion depth), reported as "turangood:
 internal error: ..." on stderr with no traceback.  New verdicts go in
-``verify.VERDICTS``, new claims in ``CLAIMS``.  Machine formats (json,
-csv) are the contract; human output mirrors the JSON fields one per
-line, except that ``table --format human`` prints CSV.
+``verify.VERDICTS``, new claims with their builders in ``CLAIMS``.  Machine
+formats (json, csv) are the contract; human output mirrors the JSON
+fields one per line, except that ``table --format human`` prints CSV.
 
 Every command builds its result once, as JSON objects, CSV rows under
 one header and human blocks, and ``_write`` alone prints it in the
@@ -39,9 +39,8 @@ import sys
 from collections.abc import Iterator
 from functools import lru_cache, partial
 
-from .forest import LinearForest, aut_order, copies_from_injective_homs
-from .multipartite import (PartSizes, _turan_k, count_copies_turan, count_injective_homs,
-                           turan_parts)
+from .forest import LinearForest, aut_order, copies_from_injective_homs, delete_isolated
+from .multipartite import PartSizes, count_copies_turan, count_injective_homs, turan_parts
 from .oracle import EXHAUSTIVE_CAP_DEFAULT, WITNESS_CAP_DEFAULT, _check_memory
 from . import verify as verify_mod
 
@@ -74,7 +73,7 @@ def _parse_turan(text: str) -> PartSizes:
         n, k = int(n_s), int(k_s)
     except ValueError:
         raise ValueError(f"invalid Turan shorthand {text!r}; expected n/k") from None
-    return turan_parts(n, _turan_k(n, k))
+    return turan_parts(n, k)
 
 
 def _write(fmt: str, objs, header: list[str], rows: list[list],
@@ -125,9 +124,11 @@ _ITEM_BYTES = 256
 
 
 def _grid(args: argparse.Namespace) -> Iterator[tuple[int, int]]:
-    """The (n, k) pairs of --n x --k, k outer.  A grid whose results
-    would not fit in the memory available now is refused here, before
-    anything is counted."""
+    """The (n, k) pairs of --n x --k, k outer.  A k < 1, a missing --n or
+    --k, and a grid whose results would not fit in the memory available
+    now are refused here, in that order, before anything is counted."""
+    if args.k is not None and args.k[0] < 1:
+        raise ValueError(f"k must be >= 1, got {args.k[0]}")
     if args.n is None or args.k is None:
         raise ValueError(f"{args.claim} needs --n and --k")
     (n_lo, n_hi), (k_lo, k_hi) = args.n, args.k
@@ -142,6 +143,11 @@ def _balance(args: argparse.Namespace) -> list:
     if args.parts is None:
         raise ValueError("balance needs --parts")
     return [verify_mod.verify_balancing_monotone(args.forest, args.parts)]
+
+
+def _isolated(args: argparse.Namespace) -> list:
+    delete_isolated(args.forest)  # refuses a forest without a P1 before the window is sized
+    return [verify_mod.verify_isolated_identity(args.forest, _n_window(args))]
 
 
 def _n_window(args: argparse.Namespace, reports: int = 1) -> range:
@@ -164,25 +170,24 @@ def _identity(parity: int, verifier: str, args: argparse.Namespace) -> list:
     return [getattr(verify_mod, verifier)(args.forest, order, n_range) for order in orders]
 
 
-# Each claim, in ``verify -h`` order: (reads --k and refuses k < 1, as ``table``
-# does; builder of its reports, which looks its verifier up on verify_mod on call)
+# Each claim, in ``verify -h`` order, and the builder of its reports (which looks
+# its verifier up on verify_mod on call; those that read --k use ``_grid``)
 CLAIMS = {
-    "multipartite-max": (True, lambda args: [
-        verify_mod.verify_multipartite_max(args.forest, n, k) for n, k in _grid(args)]),
-    "balance": (False, _balance),
-    "odd-identity": (False, partial(_identity, 1, "verify_odd_extension_identity")),
-    "even-identity": (False, partial(_identity, 0, "verify_even_extension_identity")),
-    "isolated-identity": (False, lambda args: [
-        verify_mod.verify_isolated_identity(args.forest, _n_window(args))]),
-    "conjecture": (True, lambda args: [
+    "multipartite-max": lambda args: [
+        verify_mod.verify_multipartite_max(args.forest, n, k) for n, k in _grid(args)],
+    "balance": _balance,
+    "odd-identity": partial(_identity, 1, "verify_odd_extension_identity"),
+    "even-identity": partial(_identity, 0, "verify_even_extension_identity"),
+    "isolated-identity": _isolated,
+    "conjecture": lambda args: [
         verify_mod.verify_conjecture(args.forest, n, k, ks=range(args.k[0], args.k[1] + 1),
                                      cap=args.cap, witness_cap=args.witnesses)
-        for n, k in _grid(args)]),
+        for n, k in _grid(args)],
 }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    reports = CLAIMS[args.claim][1](args)
+    reports = CLAIMS[args.claim](args)
     dicts = [r.to_json_dict() for r in reports]
     rows, blocks = [], []
     for d in dicts:
@@ -279,8 +284,6 @@ def _parse_values(args: argparse.Namespace) -> None:
         args.n = _parse_range(args.n)
     if args.k is not None:
         args.k = _parse_range(args.k)
-        if args.k[0] < 1 and (not verify or CLAIMS[args.claim][0]):
-            raise ValueError(f"k must be >= 1, got {args.k[0]}")
     if verify and args.workers is not None and args.workers < 1:
         raise ValueError(f"workers must be >= 1, got {args.workers}")
 

@@ -110,19 +110,16 @@ def turan_parts(n: int, k: int) -> PartSizes:
     """Part sizes of the Turan graph T(n, k): as equal as possible.
 
     n mod k parts get ceil(n/k) vertices and the rest get floor(n/k).
+    At most max(n, 1) parts are built, as for k > n the parts past the
+    n-th are empty and cost only memory; ``.canonical`` is unchanged.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    k = min(k, max(n, 1))
     q, r = divmod(n, k)
     return PartSizes((q + 1,) * r + (q,) * (k - r))
-
-
-def _turan_k(n: int, k: int) -> int:
-    """The k to build T(n, k) with: at most max(n, 1), as parts past the
-    n-th are empty and change no count, only memory.  A k < 1 is kept."""
-    return min(k, max(n, 1))
 
 
 @lru_cache(maxsize=2)
@@ -306,4 +303,4 @@ def count_copies(forest: LinearForest, parts: PartsLike) -> int:
 
 def count_copies_turan(forest: LinearForest, n: int, k: int) -> int:
     """Copy count in the Turan graph T(n, k)."""
-    return count_copies(forest, turan_parts(n, _turan_k(n, k)))
+    return count_copies(forest, turan_parts(n, k))

@@ -82,7 +82,7 @@ from math import perm
 
 from .forest import (LinearForest, Record, aut_order, back_edge_flags,
                      copies_from_injective_homs, edge_core)
-from .multipartite import PartsLike, _turan_k, canonical_sizes, turan_parts
+from .multipartite import PartsLike, canonical_sizes, turan_parts
 
 TYPE_CHECKING = False  # type checkers read it as True; spares importing typing
 if TYPE_CHECKING:
@@ -705,8 +705,7 @@ def extremal_search(forest: LinearForest, n: int, k: int, *, ks: Sequence[int] =
     # engine self-check: the reference counter counts the Turan graph
     # and every witness again; the reported maximum and the clique filter
     # must agree with it on every witness
-    turan_count = count_copies_explicit(
-        forest, explicit_multipartite(turan_parts(n, _turan_k(n, k))))
+    turan_count = count_copies_explicit(forest, explicit_multipartite(turan_parts(n, k)))
     witnesses = [SmallGraph.from_edge_mask(n, mask) for mask in witness_masks]
     for mask, g in zip(witness_masks, witnesses):
         if count_injective_homs_explicit(forest, g) != max_inj:

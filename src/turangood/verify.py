@@ -32,7 +32,6 @@ from .forest import (
 from .multipartite import (
     PartSizes,
     PartsLike,
-    _turan_k,
     count_copies,
     count_injective_homs_many,
     turan_parts,
@@ -166,7 +165,7 @@ def verify_multipartite_max(forest: LinearForest, n: int, k: int) -> Verificatio
                 maximizers = [part]
             elif cnt == best:
                 maximizers.append(part)
-    target = turan_parts(n, _turan_k(n, k)).canonical
+    target = turan_parts(n, k).canonical
     return _report(
         "multipartite-max", {"forest": str(forest), "n": n, "k": k},
         None if target in maximizers else {
@@ -195,12 +194,12 @@ def balancing_move(parts: PartSizes, i: int, j: int) -> PartSizes:
 
 
 def balance_trajectory(parts: PartSizes) -> list[PartSizes]:
-    """Repeatedly balance the currently smallest part against the
-    currently largest until all parts are within one vertex, returning
-    the intermediate partitions (input excluded)."""
+    """Repeatedly balance the smallest part against the largest until all
+    parts are within one vertex, returning the intermediate partitions
+    (input excluded); a move past the max(n, 1)-th raises RuntimeError."""
     if parts.k == 0:
         return []
-    max_steps = max(parts.n, 1) + 1
+    max_steps = max(parts.n, 1)
     cur = parts
     out: list[PartSizes] = []
     while True:
@@ -252,7 +251,7 @@ def _balance_failure(forest: LinearForest, parts: PartSizes,
                     "count_before": prev, "count_after": cur}, checked
         prev_parts, prev = step, cur
     final = trajectory[-1] if trajectory else parts
-    if final.canonical != target.canonical or len(trajectory) > max(parts.n, 1):
+    if final.canonical != target.canonical:
         return {"reached": list(final.sizes), "target": list(target.sizes),
                 "steps": len(trajectory)}, checked + 1
     return None, checked + 1

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turangood import (LinearForest, VerificationReport, count_copies_turan, extremal_search,
-                       oracle, verify_multipartite_max)
+                       oracle, turan_parts, verify_multipartite_max)
 from turangood import cli
 from turangood import verify as verify_mod
 from turangood.cli import CLAIMS, FORMATS, _parse_turan, build_parser, run
@@ -213,6 +213,20 @@ class TestVerify:
     def test_k_ignored_where_not_read(self, capsys, argv):
         code, _, err = invoke(capsys, "verify", *argv.split(), "--k", "0")
         assert (code, err) == (0, "")
+
+    def test_walk_past_n_moves_is_an_engine_error(self, capsys, monkeypatch):
+        # the first three moves (one single-move check, then the walk's first
+        # two) change nothing, so the walk from 2,0 balances only at its
+        # max(n, 1) + 1 = 3rd move, and no move lowers the count
+        real, calls = verify_mod.balancing_move, []
+
+        def stalling(parts, i, j):
+            calls.append((i, j))
+            return parts if len(calls) <= 3 else real(parts, i, j)
+        monkeypatch.setattr(verify_mod, "balancing_move", stalling)
+        code, out, err = invoke(capsys, "verify", "balance", "--forest", "2", "--parts", "2,0")
+        assert (code, out) == (3, "")
+        assert err.startswith("turangood: internal error: RuntimeError: ")
 
     def test_conjecture_bad_k_exits_2(self, capsys):
         assert invoke(capsys, "verify", "conjecture", "--forest", "3", "--n", "4",
@@ -512,6 +526,7 @@ _TURAN_CALLS = {  # each call that builds T(3, k) from a k given by the user
     "count_copies_turan": lambda k: count_copies_turan(LinearForest((2,)), 3, k),
     "verify_multipartite_max": lambda k: verify_multipartite_max(LinearForest((2,)), 3, k),
     "extremal_search": lambda k: extremal_search(LinearForest((2,)), 3, k),
+    "turan_parts": lambda k: turan_parts(3, k),
 }
 
 
@@ -604,6 +619,16 @@ class TestWindowMemory:
             2, "", "turangood: error: 10 n values need about 0 MiB of results, "
                    "only 0 MiB available\n")
 
+    @pytest.mark.parametrize("window", ["5..9", "5..1000000000"])
+    def test_isolated_forest_checked_before_window(self, capsys, monkeypatch, window):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sized the window of a forest without a P1")
+
+        monkeypatch.setattr(cli, "_check_memory", refuse)
+        assert invoke(capsys, "verify", "isolated-identity", "--forest", "3",
+                      "--n", window) == (
+            2, "", "turangood: error: forest 3 has no component of order 1\n")
+
     @pytest.mark.parametrize("name", sorted(WINDOWS))
     def test_runs_when_it_fits_or_memory_is_unknown(self, capsys, monkeypatch, name):
         argv, need = self.WINDOWS[name]
@@ -635,9 +660,23 @@ class TestTables:
         [claim] = [a for a in verify._actions if a.dest == "claim"]
         assert list(claim.choices) == list(CLAIMS) == list(_VERIFIERS)
 
-    def test_claims_that_read_k(self):
-        assert [c for c, (reads_k, _) in CLAIMS.items() if reads_k] == [
-            "multipartite-max", "conjecture"]
+    def test_claims_that_read_k(self, capsys):
+        # --k 0 with otherwise valid options: refused by the commands that
+        # build an (n, k) grid, also without --n, and ignored by the others
+        k_error = (2, "", "turangood: error: k must be >= 1, got 0\n")
+        reads_k = []
+        for claim, (_, options) in _VERIFIERS.items():
+            options = [o for o in options if o not in ("--k", "2")] + ["--k", "0"]
+            argv = ["verify", claim, "--forest", "4,3,1", *options]
+            result = invoke(capsys, *argv)
+            if result == k_error:
+                reads_k.append(claim)
+                no_n = [o for o in argv if o not in ("--n", "3")]
+                assert invoke(capsys, *no_n) == k_error
+            else:
+                assert result[0] == 0
+        assert reads_k == ["multipartite-max", "conjecture"]
+        assert invoke(capsys, "table", "--forest", "4,3,1", "--n", "3", "--k", "0") == k_error
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         assert ("Only `multipartite-max`, `conjecture` and `table` read `--k`"
                 in " ".join(readme.split()))

@@ -82,9 +82,12 @@ class TestTuranParts:
         for n in range(0, 25):
             for k in range(1, 7):
                 p = turan_parts(n, k)
+                q, r = divmod(n, k)
+                padded = (q + 1,) * r + (q,) * (k - r)  # T(n, k) with its empty parts
                 assert sum(p.sizes) == n
-                assert len(p.sizes) == k
+                assert len(p.sizes) == min(k, max(n, 1))
                 assert max(p.sizes) - min(p.sizes) <= 1
+                assert p.canonical == PartSizes(padded).canonical
 
 
 class TestCanonicalSizes:

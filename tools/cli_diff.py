@@ -54,6 +54,14 @@ FIXED = [
     ["verify", "multipartite-max", "--forest", "2,2,1", "--n", "40", "--k", "5"],
     ["verify", "balance", "--forest", "4", "--parts", "12,1,1"],
     ["verify", "even-identity", "--forest", "4,2", "--n", "6..30"],
+    # T(n, k) with more parts than vertices, and k < 1 where a grid is built
+    ["verify", "balance", "--forest", "3", "--parts", "1,0,0,0"],
+    ["count", "--forest", "2", "--turan", "0/5"],
+    ["table", "--forest", "1", "--n", "0..2", "--k", "1..4"],
+    ["verify", "conjecture", "--forest", "2,1", "--n", "0..3", "--k", "3..7"],
+    ["verify", "conjecture", "--forest", "3", "--k", "0"],
+    ["verify", "multipartite-max", "--forest", "3", "--n", "3", "--k", "0..1000000000"],
+    ["table", "--forest", "3", "--n", "1..100", "--k", "0..1000000000"],
 ]
 
 CHILD = """

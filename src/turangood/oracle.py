@@ -33,14 +33,16 @@ guard refuses any forest and n where that bound would not hold.  The
 K_{k+1}-free masks come from one uint8 array of clique numbers per n,
 built by the same transform: containing a clique is an up-set, so each
 clique mask is seeded with its order and closed upward with max; a mask
-is K_{k+1}-free iff its entry is at most k.  One thread scans fixed
-shards of masks in mask order, once for every k of a request: while a
-shard is in cache, each k selects its K_{k+1}-free masks there once.
-For each k, a shard that reaches the best count so far adds its
-smallest tied masks until the witness cap is met, and a higher count
-starts the ties over, so no shard is selected twice for one k and no
-tie past the cap is collected.  Every k >= n selects every mask, so one
-selection serves all of them.
+is K_{k+1}-free iff its entry is at most k.  The maximum is invariant
+under relabeling, and every graph but K_n has a copy in which vertex
+n - 1, of least degree d <= n - 2, is joined to 0..d - 1 alone: a mask
+of one of n - 1 rows of 2^C(n-1,2) masks, all without the top pair
+(n - 2, n - 1).  So the counts are built for that lower half of the
+masks, and each k's best is its best K_{k+1}-free mask on the rows, or
+K_n when k >= n.  Then one thread collects the ties of every k in mask
+order, shard by shard, each k only until it has the witness cap, and
+builds the upper half's counts only if a k needs ties past the lower
+half.  Every k >= n selects every mask, so one selection serves all.
 
 Isolated vertices demand no edge: each multiplies every count by the
 number of vertices still free, a positive factor that keeps the order
@@ -53,8 +55,8 @@ that builds it, and is freed when that search returns.  The clique
 numbers of the latest n are kept, as every search at that n reads them;
 only n = 7 and 8 build the array, so at most the 2 MiB of n = 7 are
 still alive while n = 8 builds its own.  A loop over many forests and k
-at n = 8 stays at the memory of one search (a 512 MiB count array and a
-256 MiB clique array).  The result is exact and is spot-checked, per
+at n = 8 stays at the memory of one search (256 MiB of counts, 512 MiB
+with the upper half, and a 256 MiB clique array).  The result is exact and is spot-checked, per
 forest and uncached: the reference counter counts the Turan graph and
 every witness it returns, one graph per call, and the clique search
 checks every witness.
@@ -97,10 +99,10 @@ EXHAUSTIVE_CAP_LIMIT = 8
 WITNESS_CAP_DEFAULT = 10
 
 _SHARD_SIZE = 1 << 17
-"""Edge masks per scan step.  Every k of a request selects and scans a
-shard in turn while its 256 KiB of counts stay in cache, and the scan's
-temporaries hold about 11 bytes a mask of one shard and one k (see
-``_peak_bytes``)."""
+"""Edge masks per step of the tie pass.  Every k that still lacks ties
+selects a shard in turn while its 256 KiB of counts stay in cache, and
+the pass's temporaries hold about 11 bytes a mask of one shard and one
+k (see ``_peak_bytes``)."""
 _COUNT_MAX = 0xFFFF  # largest uint16, the dtype of the count arrays
 _ROW_BITS = 8
 """Low mask bits that ``_seeded_zeta`` transforms on seeded rows only."""
@@ -464,10 +466,14 @@ def _placement_histogram(n: int, core: tuple[int, ...]) -> tuple[np.ndarray, np.
 
 
 @lru_cache(maxsize=0)
-def _inj_counts_all_graphs(n: int, comps: tuple[int, ...]) -> np.ndarray:
+def _inj_counts_all_graphs(n: int, comps: tuple[int, ...], half: int | None = None) -> np.ndarray:
     """Injective homomorphism counts of the forest for every edge mask:
     the histogram of the edge masks that its placements into K_n demand,
     subset-summed so entry G holds the number of placements inside G.
+
+    With ``half`` 0 or 1 (n >= 2) only the seeds whose top pair
+    (n - 2, n - 1) is ``half`` are summed, over the other bits: half 0
+    gives the lower half of the masks, and half 1 plus half 0 the upper.
 
     The search passes the edge core; isolated components, if any, are
     placed like the others and demand no edge.  Nothing is kept: the
@@ -482,11 +488,18 @@ def _inj_counts_all_graphs(n: int, comps: tuple[int, ...]) -> np.ndarray:
     if bound > _COUNT_MAX:
         raise OverflowError(f"placement count bound {bound} exceeds uint16")
     demanded, hits = _placement_histogram(n, comps)
-    w = _seeded_zeta(demanded, hits, n * (n - 1) // 2, np.uint16, np.add)
-    # the transform leaves the total placement count at the full mask
-    if int(w[-1]) != perm(n, sum(comps)):
+    if int(hits.sum()) != perm(n, sum(comps)):
+        raise RuntimeError("placement histogram integrity check failed")
+    nbits = n * (n - 1) // 2
+    if half is not None:
+        nbits -= 1
+        split = int(np.searchsorted(demanded, 1 << nbits))
+        demanded, hits = ((demanded[split:] - (1 << nbits), hits[split:]) if half
+                          else (demanded[:split], hits[:split]))
+    w = _seeded_zeta(demanded, hits, nbits, np.uint16, np.add)
+    # the transform leaves the hits of all its seeds at the full mask
+    if int(w[-1]) != int(hits.sum()):
         raise RuntimeError("subset-sum transform integrity check failed")
-    w.setflags(write=False)
     return w
 
 
@@ -496,43 +509,27 @@ def _scan_shard(counts: np.ndarray, ok: np.ndarray, lo: int, hi: int) -> int:
     return int((counts[lo:hi] * ok).max())
 
 
-def _shard_ties(counts: np.ndarray, ok: np.ndarray, best: int, lo: int, hi: int,
-                limit: int) -> list[int]:
-    """The first ``limit`` masks in [lo, hi) that ``ok`` selects and
-    whose count is best."""
+def _ties(runs, selects, bests, witness_cap: int) -> list[list[int]]:
+    """For each ``select`` of ``selects``, the first witness_cap masks it
+    selects whose count is its best of ``bests``; ``select(lo, hi)``
+    flags the selected masks in [lo, hi).  ``runs`` yields (first mask,
+    counts) of consecutive runs of masks, taken in mask order, shard by
+    shard; a select selects a shard only while it lacks ties, and once
+    none does the pass stops and draws no further run."""
     import numpy as np
 
-    tied = counts[lo:hi] == best
-    tied &= ok
-    return [lo + int(m) for m in np.flatnonzero(tied)[:limit]]
-
-
-def _scan(counts: np.ndarray, selects, witness_cap: int) -> list[tuple[int, tuple[int, ...]]]:
-    """For each ``select`` of ``selects``, the best count among the masks
-    it selects (0 when none is selected) and the first witness_cap
-    selected masks that reach it; ``select(lo, hi)`` flags the selected
-    masks in [lo, hi).
-
-    One pass over fixed shards in mask order, and every select selects
-    each shard once, while the shard's counts are in cache: a shard whose
-    own best is the best so far adds its ties until the cap is met, and a
-    higher best starts the ties over."""
-    found = [(-1, []) for _ in selects]
-    for lo in range(0, counts.size, _SHARD_SIZE):
-        hi = min(lo + _SHARD_SIZE, counts.size)
-        for i, select in enumerate(selects):
-            best, ties = found[i]
-            ok = select(lo, hi)
-            shard_best = _scan_shard(counts, ok, lo, hi)
-            if shard_best > best:
-                best, ties = shard_best, []
-            if shard_best == best and len(ties) < witness_cap:
-                ties += _shard_ties(counts, ok, best, lo, hi, witness_cap - len(ties))
-            found[i] = best, ties
-            # free the flags before the next ones are built, so the
-            # allocator reuses their pages instead of faulting in new ones
-            del ok
-    return [(best, tuple(ties)) for best, ties in found]
+    found = [[] for _ in selects]
+    for base, counts in runs:
+        for lo in range(0, counts.size, _SHARD_SIZE):
+            hi = min(lo + _SHARD_SIZE, counts.size)
+            for select, best, ties in zip(selects, bests, found):
+                if len(ties) < witness_cap:
+                    tied = counts[lo:hi] == best
+                    tied &= select(base + lo, base + hi)
+                    ties += (np.flatnonzero(tied)[:witness_cap - len(ties)] + base + lo).tolist()
+            if all(len(ties) == witness_cap for ties in found):
+                return found
+    return found
 
 
 def _lane_sums(seeds, nbits: int) -> array:
@@ -565,9 +562,10 @@ def _core_search(n: int, core: tuple[int, ...], ks: tuple[int, ...],
     """For each k of ks, the best injective homomorphism count of the
     edge core over the K_{k+1}-free graphs on n labeled vertices, and the
     first witness_cap masks that reach it.  The counts are built once
-    for every k, and one scan selects every k on each shard.  Holds no
-    array, so caching it is cheap: every forest with this core reuses
-    the scan.
+    for every k, which finds its best on the rows of the lower half and
+    then its ties in one pass for all k (see the module docstring).
+    Holds no array, so caching it is cheap: every forest with this core
+    reuses the search.
 
     Up to _SMALL_N the placement histogram and the clique masks go
     through ``_lane_sums`` instead, with the same results.  No sum
@@ -595,10 +593,28 @@ def _core_search(n: int, core: tuple[int, ...], ks: tuple[int, ...],
                     if c == best and not q)
             found.append((best, tuple(islice(ties, witness_cap))))
         return tuple(found)
-    # counts first: the first numpy import lands in the counting stage
-    counts = _inj_counts_all_graphs(n, core)
-    return tuple(_scan(counts, [lambda lo, hi, r=k + 1: _clique_free_selector(n, r, lo, hi)
-                                for k in ks], witness_cap))
+    # counts first: the first numpy import lands in the counting stage.
+    # Below n = 2 there is no top pair, and the one mask is K_n
+    lower = _inj_counts_all_graphs(n, core, 0 if n > 1 else None)
+    selects = [lambda lo, hi, r=k + 1: _clique_free_selector(n, r, lo, hi) for k in ks]
+    # row d: vertex n - 1, whose pairs are the top n - 1 bits, joined to 0..d - 1
+    row = (n - 1) * (n - 2) // 2
+    rows = [((1 << d) - 1 << row, 1 << d + row) for d in range(n - 1)]
+    # K_n, the one graph that no row holds, is K_{k+1}-free iff k >= n
+    bests = [max([_scan_shard(lower, select(lo, hi), lo, hi) for lo, hi in rows]
+                 + [perm(n, sum(core)) if k >= n else 0]) for k, select in zip(ks, selects)]
+
+    def halves():
+        yield 0, lower
+        if n > 1:  # the upper half: the sums of its own seeds plus the lower half
+            upper = _inj_counts_all_graphs(n, core, 1)
+            upper += lower
+            if int(upper[-1]) != perm(n, sum(core)):  # every placement, as on lanes
+                raise RuntimeError("subset-sum transform integrity check failed")
+            yield lower.size, upper
+
+    ties = _ties(halves(), selects, bests, witness_cap)
+    return tuple((best, tuple(found)) for best, found in zip(bests, ties))
 
 
 def _mem_available() -> int | None:
@@ -636,16 +652,18 @@ def _peak_bytes(n: int, batch: int = 1, witness_cap: int = WITNESS_CAP_DEFAULT) 
     tracemalloc at n = 6, against an estimate of 0.65 MB."""
     size = 1 << (n * (n - 1) // 2)
     shard = min(size, _SHARD_SIZE)
-    # one uint16 count array, freed when the search returns, and one
-    # uint8 clique-number array (n = 7's 2 MiB may still be alive while
-    # n = 8 builds its own, less than the count build's temporaries,
-    # freed by then); then the scan's temporaries of one shard and one
-    # k: the bool selection, the masked uint16 product of its max or its
-    # bool tie mask, and the int64 tie indices.  While an array is
-    # built: at most n! placements, each about 24 bytes a vertex of intp
-    # rows and their temporaries plus 48 bytes of int64 masks, seeds and
-    # temporaries, and the gathered block of seeded uint16 rows, at most
-    # one row per seed
+    # the two uint16 halves of the counts, freed when the search returns
+    # (the upper one is built only when ties lie past the lower one), and
+    # one uint8 clique-number array (n = 7's 2 MiB may still be alive
+    # while n = 8 builds its own, less than the count build's
+    # temporaries, freed by then); then the tie pass's temporaries of one
+    # shard and one k: the bool selection, the bool tie mask and the
+    # int64 tie indices.  A row's selection and masked uint16 product (6
+    # MiB at n = 8) live only while the upper half does not.  While an
+    # array is built: at most n! placements, each about 24 bytes a vertex
+    # of intp rows and their temporaries plus 48 bytes of int64 masks,
+    # seeds and temporaries, and the gathered block of seeded uint16
+    # rows, at most one row per seed
     build = perm(n, n) * (24 * n + 48) + min(perm(n, n) << _ROW_BITS, size) * 2
     # every k keeps its tied masks, ints in a list and then a tuple, and
     # one search at a time builds a SmallGraph for each of its witnesses

@@ -677,15 +677,42 @@ def brute_scan(counts, ok, cap):
     return best, tuple(ties[:cap])
 
 
-def shards_of(ok):
-    """A selector of the kind ``_scan`` takes: the flags of the masks in
-    [lo, hi)."""
-    return lambda lo, hi: ok[lo:hi]
+def shards_of(ok, selected=None):
+    """A selector of the kind ``_ties`` takes: the flags of the masks in
+    [lo, hi); ``selected`` records each (lo, hi) it is called on."""
+    def select(lo, hi):
+        if selected is not None:
+            selected.append((lo, hi))
+        return ok[lo:hi]
+    return select
+
+
+def halves(counts, drawn=None):
+    """``counts`` as the two runs ``_ties`` draws, the masks below
+    size // 2 and the rest, as (first mask, counts); ``drawn`` records
+    the first mask of each run when it is drawn."""
+    cut = counts.size // 2
+    for base, run in ((0, counts[:cut]), (cut, counts[cut:])):
+        if drawn is not None:
+            drawn.append(base)
+        yield base, run
+
+
+def brute_ties(counts, oks, cap, runs=None):
+    """``_ties`` over ``counts`` with each select's best from
+    ``brute_scan``, against the ties ``brute_scan`` finds."""
+    want = [brute_scan(counts, ok, cap) for ok in oks]
+    got = oracle._ties(halves(counts) if runs is None else runs,
+                       [shards_of(ok) for ok in oks], [best for best, _ in want], cap)
+    assert [tuple(ties) for ties in got] == [ties for _, ties in want]
+    return want
 
 
 class TestTwoPhaseScan:
-    """The max and the early-exit ties of each shard against
-    ``brute_scan``."""
+    """The tie pass, given each select's best, against ``brute_scan``:
+    the first ties of every select in mask order, selecting each shard
+    at most once and only while a select lacks ties, and drawing no run
+    past the one where every select has its cap."""
 
     @pytest.mark.parametrize("shard_bits", [4, 10])
     def test_random_arrays_match_brute(self, monkeypatch, shard_bits):
@@ -697,8 +724,9 @@ class TestTwoPhaseScan:
                 counts = rng.integers(0, top + 1, size).astype(np.uint16)
                 ok = rng.random(size) < rng.choice([0.0, 0.01, 0.3, 1.0])
                 for cap in (0, 1, 3, 10, size + 1):
-                    want = brute_scan(counts, ok, cap)
-                    assert oracle._scan(counts, [shards_of(ok)], cap) == [want], (size, top, cap)
+                    brute_ties(counts, [ok], cap)
+                    # one run as well as two
+                    brute_ties(counts, [ok], cap, [(0, counts)])
 
     @pytest.mark.parametrize("shard_bits", [4, 10])
     def test_edge_cases(self, monkeypatch, shard_bits):
@@ -707,14 +735,14 @@ class TestTwoPhaseScan:
         size = 4 * shard
         counts = np.zeros(size, dtype=np.uint16)
         nothing = np.zeros(size, dtype=bool)
-        assert oracle._scan(counts + 5, [shards_of(nothing)], 10) == [(0, ())]
+        assert brute_ties(counts + 5, [nothing], 10) == [(0, ())]
         # best 0: the unselected masks 0..2 also count 0 and must not tie
         ok = np.zeros(size, dtype=bool)
         ok[[3, shard + 1, size - 1]] = True
         counts[3:] = 7
         counts[[3, shard + 1, size - 1]] = 0
-        assert oracle._scan(counts, [shards_of(ok)], 10) == [(0, (3, shard + 1, size - 1))]
-        assert oracle._scan(counts, [shards_of(ok)], 0) == [(0, ())]
+        assert brute_ties(counts, [ok], 10) == [(0, (3, shard + 1, size - 1))]
+        assert brute_ties(counts, [ok], 0) == [(0, ())]
         # best > 0: unselected masks with a higher and with the same count
         counts[:] = 2
         ok[:] = True
@@ -723,62 +751,55 @@ class TestTwoPhaseScan:
         tied = [1, 2, shard - 2, shard - 1, shard, shard + 1, 3 * shard]
         counts[tied] = 5
         for cap in range(7):
-            assert oracle._scan(counts, [shards_of(ok)], cap) == [(5, tuple(tied[2:2 + cap]))]
+            assert brute_ties(counts, [ok], cap) == [(5, tuple(tied[2:2 + cap]))]
 
     def test_tie_pass_stops_at_the_completing_shard(self, monkeypatch):
         shard = 16
         monkeypatch.setattr(oracle, "_SHARD_SIZE", shard)
-        visited = []
-        real = oracle._shard_ties
-
-        def spy(counts, ok, best, lo, hi, limit):
-            visited.append(lo)
-            return real(counts, ok, best, lo, hi, limit)
-
-        monkeypatch.setattr(oracle, "_shard_ties", spy)
         size = 8 * shard
         counts = np.ones(size, dtype=np.uint16)
         ok = np.ones(size, dtype=bool)
-        # two ties in each of shards 0, 2, 3, 4, 5; shard 1 stays below
+        # two ties in each of shards 0, 2, 3, 4, 5; shard 1 stays below.
+        # Shards 0..3 are the first run, 4..7 the second
         for s in (0, 2, 3, 4, 5):
             counts[[s * shard + 3, s * shard + 9]] = 4
-        for cap, last in [(1, 0), (2, 0), (3, 2), (4, 2), (5, 3), (10, 5), (11, 5)]:
-            visited.clear()
-            [(best, ties)] = oracle._scan(counts, [shards_of(ok)], cap)
-            assert best == 4 and len(ties) == min(cap, 10)
-            assert visited == [s * shard for s in (0, 2, 3, 4, 5) if s <= last]
-        visited.clear()
-        assert oracle._scan(counts, [shards_of(ok)], 0) == [(4, ())]
-        assert visited == []
+        for cap, last in [(0, -1), (1, 0), (2, 0), (3, 2), (4, 2), (5, 3), (10, 5), (11, 7)]:
+            selected, drawn = [], []
+            [ties] = oracle._ties(halves(counts, drawn), [shards_of(ok, selected)], [4], cap)
+            assert len(ties) == min(cap, 10)
+            assert selected == [(s * shard, (s + 1) * shard) for s in range(last + 1)]
+            # the second run is drawn only when ties are still missing
+            # after the first
+            assert drawn == [0, 4 * shard][:1 + (last >= 4)], cap
 
-    @pytest.mark.parametrize("cap", [0, 1, 5, 100])
-    def test_each_shard_selected_once(self, monkeypatch, cap):
-        # a higher best in a later shard starts the ties over without
-        # selecting an earlier shard again
+    @pytest.mark.parametrize("cap,shards", [(0, 0), (1, 5), (5, 5), (100, 6)])
+    def test_each_shard_selected_once(self, monkeypatch, cap, shards):
+        # the best, 2, lies in shards 4 and 5 alone, 16 ties in each: the
+        # pass selects the shards before them once each and stops at the
+        # first shard that completes the cap
         shard = 16
         monkeypatch.setattr(oracle, "_SHARD_SIZE", shard)
         size = 6 * shard
         counts = np.arange(size, dtype=np.uint16) // (2 * shard)
         ok = np.ones(size, dtype=bool)
         selected = []
-
-        def select(lo, hi):
-            selected.append((lo, hi))
-            return ok[lo:hi]
-
-        assert oracle._scan(counts, [select], cap) == [brute_scan(counts, ok, cap)]
-        assert selected == [(lo, lo + shard) for lo in range(0, size, shard)]
+        want = brute_scan(counts, ok, cap)
+        assert want[0] == 2
+        ties = oracle._ties(halves(counts), [shards_of(ok, selected)], [2], cap)
+        assert [tuple(t) for t in ties] == [want[1]]
+        assert selected == [(lo, lo + shard) for lo in range(0, shards * shard, shard)]
 
     @pytest.mark.parametrize("cap", [0, 1, 5, 100])
     def test_selects_share_each_shard(self, monkeypatch, cap):
-        # every select of one scan takes each shard in turn, once, and
-        # gets what a scan of its own would give
+        # every select of one pass takes each shard in turn, once, while
+        # it lacks ties, and gets what a pass of its own would give
         shard = 16
         monkeypatch.setattr(oracle, "_SHARD_SIZE", shard)
         rng = np.random.default_rng(cap)
         size = 6 * shard
         counts = rng.integers(0, 4, size).astype(np.uint16)
         oks = [rng.random(size) < p for p in (0.0, 0.2, 0.7, 1.0)]
+        want = [brute_scan(counts, ok, size) for ok in oks]
         selected = []
 
         def selector(i):
@@ -787,9 +808,84 @@ class TestTwoPhaseScan:
                 return oks[i][lo:hi]
             return select
 
-        got = oracle._scan(counts, [selector(i) for i in range(len(oks))], cap)
-        assert got == [brute_scan(counts, ok, cap) for ok in oks]
-        assert selected == [(lo, i) for lo in range(0, size, shard) for i in range(len(oks))]
+        got = oracle._ties(halves(counts), [selector(i) for i in range(len(oks))],
+                           [best for best, _ in want], cap)
+        assert [tuple(t) for t in got] == [ties[:cap] for _, ties in want]
+        # select i takes shard lo iff fewer than cap of its ties lie below
+        # lo, and the pass ends after the shard that gives every select
+        # its cap
+        expect = []
+        for lo in range(0, size, shard):
+            lacking = [i for i, (_, ties) in enumerate(want)
+                       if sum(m < lo for m in ties) < cap]
+            if not lacking:
+                break
+            expect += [(lo, i) for i in lacking]
+        assert selected == expect
+        # below cap 100 some select stops before the last shard
+        assert len(expect) < len(oks) * size // shard or cap == 100
+
+
+class TestOrbitRows:
+    """The numpy path takes each k's best from the n - 1 rows of the
+    lower half and K_n, and its ties from the lower half, building the
+    upper half only for ties past it.  Against a whole array: every
+    mask's count by one ``_seeded_zeta`` over all C(n, 2) bits, and the
+    best and first ties over every selected mask."""
+
+    @staticmethod
+    def spy_builds(monkeypatch):
+        """The ``half`` of every count build from now on, in call order."""
+        builds = []
+        build = oracle._inj_counts_all_graphs
+
+        def spy(n, core, half=None):
+            builds.append(half)
+            return build(n, core, half)
+
+        monkeypatch.setattr(oracle, "_inj_counts_all_graphs", spy)
+        return builds
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_whole_array(self, monkeypatch, n):
+        monkeypatch.setattr(oracle, "_SMALL_N", -1)
+        builds = self.spy_builds(monkeypatch)
+        search = oracle._core_search.__wrapped__
+        nbits = n * (n - 1) // 2
+        ks = tuple(range(1, n + 1))
+        free = [_brute_selector(n, k + 1) if n < 7 else _clique_numbers(n) <= k for k in ks]
+        # at n = 7 the empty core ties on every selected mask, 10 M ties
+        # past the tie count, so it is compared up to n = 6
+        for core in [()] * (n < 7) + [c for c in all_forests(n) if min(c) >= 2]:
+            demanded, hits = _placement_histogram(n, core)
+            counts = _seeded_zeta(demanded, hits, nbits, np.uint16, np.add)
+            want = []
+            for ok in free:
+                best = int(counts[ok].max())
+                want.append((best, np.flatnonzero(ok & (counts == best)).tolist()))
+            above = max(len(ties) for _, ties in want) + 1
+            for cap in (0, 1, 10, above):
+                builds.clear()
+                got = search(n, core, ks, cap)
+                assert got == tuple((best, tuple(ties[:cap])) for best, ties in want), \
+                    (n, core, cap)
+                # the upper half is built iff some k has fewer than cap
+                # ties below it; past the tie count it always is, as K_n
+                # ties for k = n
+                short = any(sum(m < 1 << nbits - 1 for m in ties) < cap for _, ties in want)
+                assert builds == [0] + [1] * short, (n, core, cap)
+                assert short or cap < above
+
+    def test_n7_ties_lie_in_the_lower_half(self, monkeypatch):
+        # at n = 7, k = 2..4 and the default cap, every edge core of at
+        # most 7 vertices finds its witnesses without the upper half
+        builds = self.spy_builds(monkeypatch)
+        cores = [c for c in all_forests(7) if min(c) >= 2]
+        assert len(cores) == 14
+        for core in cores:
+            found = oracle._core_search.__wrapped__(7, core, (2, 3, 4), WITNESS_CAP_DEFAULT)
+            assert [len(ties) for _, ties in found] == [WITNESS_CAP_DEFAULT] * 3
+        assert builds == [0] * len(cores)
 
 
 class TestCoreSearchCache:

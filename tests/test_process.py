@@ -215,9 +215,12 @@ class TestTracedRuns:
             [search, "oracle.count_copies_explicit"])
 
     def test_array_builds_and_survivors_are_booked_once(self):
-        # the one count array (2^21 uint16) is booked as built, and the
-        # clique-free masks of each k once: 133,501 triangle-free and
-        # 1,486,597 K_4-free labeled graphs on 7 vertices
+        # the lower half of the counts (2^20 uint16) is booked as built,
+        # and the clique-free masks of each selection once.  Each k
+        # selects the six rows of 2^15 masks, then shards of 2^17 up to
+        # the one that holds its 10th witness: for k = 2, 17,284
+        # triangle-free masks on the rows and 87,580 in 7 shards; for
+        # k = 3, 140,144 K_4-free masks on the rows and 804,472 in 8
         argv = ["verify", "conjecture", "--forest", "3", "--n", "7", "--k", "2..3"]
         code = "\n".join([
             "import contextlib, io, json, sys",
@@ -234,13 +237,17 @@ class TestTracedRuns:
         assert proc.returncode == 0, proc.stderr.decode()
         out = json.loads(proc.stdout)
         assert out["rc"] == 0
-        assert out["metrics"]["oracle.array_bytes"] >= 2 << 21
-        assert out["metrics"]["oracle.survivor_ratio"] == (133_501 + 1_486_597) / (2 << 21)
+        assert out["metrics"]["oracle.array_bytes"] == 2 << 20
+        assert out["metrics"]["oracle.survivor_ratio"] == (
+            (17_284 + 87_580 + 140_144 + 804_472) / (12 * (1 << 15) + 15 * (1 << 17)))
 
     def test_one_pass_selects_each_k_and_shard_once(self):
-        # the search for k = 2 builds the count array once and selects
-        # every shard for k = 2, 3 and 4; those for k = 3 and 4 read the
-        # batch.  2,062,844 labeled graphs on 7 vertices are K_5-free
+        # the search for k = 2 builds the lower half of the counts once,
+        # selects its six rows for k = 2, 3 and 4, and then each shard
+        # once for each k that lacks witnesses: 7 shards for k = 2 and 8
+        # for k = 3 and 4, all in the lower half; those for k = 3 and 4
+        # read the batch.  As above, and for k = 4 193,190 K_5-free masks
+        # on the rows and 1,038,902 in 8 shards
         argv = ["verify", "conjecture", "--forest", "3", "--n", "7", "--k", "2..4"]
         code = "\n".join([
             "import contextlib, io, json, sys",
@@ -262,10 +269,12 @@ class TestTracedRuns:
         out = json.loads(proc.stdout)
         assert out["rc"] == 0
         assert out["builds"] == 1
-        assert out["selections"] == 3 * (1 << 21) // out["shard"]
-        assert out["metrics"]["oracle.array_bytes"] == 2 << 21
+        assert out["shard"] == 1 << 17
+        assert out["selections"] == 3 * 6 + 7 + 8 + 8
+        assert out["metrics"]["oracle.array_bytes"] == 2 << 20
         assert out["metrics"]["oracle.survivor_ratio"] == (
-            (133_501 + 1_486_597 + 2_062_844) / (3 << 21))
+            (17_284 + 87_580 + 140_144 + 804_472 + 193_190 + 1_038_902)
+            / (18 * (1 << 15) + 23 * (1 << 17)))
 
 
 def test_no_count_array_outlives_searches():
@@ -277,7 +286,8 @@ def test_no_count_array_outlives_searches():
             "gc.collect()\n"
             "# arrays are not gc-tracked; find them among what tracked objects hold\n"
             "live = {id(o) for r in gc.get_objects() for o in (r, *gc.get_referents(r))\n"
-            "        if isinstance(o, np.ndarray) and o.dtype == np.uint16 and o.size == 1 << 21}\n"
+            "        if isinstance(o, np.ndarray) and o.dtype == np.uint16\n"
+            "        and o.size in (1 << 20, 1 << 21)}\n"
             "print(len(live))\n")
     proc = python("-c", code)
     assert proc.returncode == 0, proc.stderr.decode()

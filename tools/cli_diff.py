@@ -62,6 +62,11 @@ FIXED = [
     ["verify", "conjecture", "--forest", "3", "--k", "0"],
     ["verify", "multipartite-max", "--forest", "3", "--n", "3", "--k", "0..1000000000"],
     ["table", "--forest", "3", "--n", "1..100", "--k", "0..1000000000"],
+    # n = 7 searches whose ties lie past the lower half of the masks (K_7
+    # alone ties at k = 7), that collect none, or many
+    ["verify", "conjecture", "--forest", "2", "--n", "7", "--k", "7"],
+    ["verify", "conjecture", "--forest", "3", "--n", "7", "--k", "2..7", "--witnesses", "0"],
+    ["verify", "conjecture", "--forest", "2,2", "--n", "7", "--k", "6", "--witnesses", "500"],
 ]
 
 CHILD = """

@@ -56,11 +56,10 @@ def _env_default(name: str, fallback):
 
 def _parse_range(text: str) -> tuple[int, int]:
     """Inclusive integer range "a..b"; a single value "a" means a..a."""
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(text)
+    try:
+        lo, hi = map(int, text.split("..")) if ".." in text else (int(text),) * 2
+    except ValueError:
+        raise ValueError(f"invalid range {text!r}; expected a or a..b") from None
     if hi < lo:
         raise ValueError(f"empty range {text!r}")
     return lo, hi

@@ -69,13 +69,20 @@ int, one lane per edge mask, with a mask K_{k+1}-free when the
 transform of the clique masks leaves its lane 0.  The reference counter
 never uses numpy: at every n it runs its layer DP per graph on 24-bit
 lanes of Python ints, one lane per vertex set.  Only the array stages
-from n = 7 on use numpy, and they import it when they first run, so
-importing the package, every command but ``verify conjecture``, and
-``verify conjecture`` up to n = 6 never load it.
+from n = 7 on use numpy, and they get it from ``_numpy`` when they first
+run, so importing the package, every command but ``verify conjecture``,
+and ``verify conjecture`` up to n = 6 never load it.  No stage calls a
+BLAS routine, so ``_numpy`` imports numpy with one OpenBLAS thread
+unless the caller chose a count or imported numpy first.  On a 2-core
+x86 VM a fresh import took 146 ms by default and 73 ms with one thread
+when the VM was cold, 106 and 60 ms while the other core was busy, and
+52 and 51 ms when it was warm and idle (medians of 20 alternating
+pairs each).
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from collections import Counter
 from functools import lru_cache
@@ -114,11 +121,17 @@ on the whole array (2-core x86 VM)."""
 _SMALL_N = 6
 """Up to this n a search runs on Python ints and never loads numpy.  At
 n = 6 (2^15 masks) a search takes about 10 ms, less than importing
-numpy; at n = 7 each step of a lane transform over 2^21 masks takes
-longer than a whole numpy transform."""
+numpy even with one BLAS thread: ``verify conjecture --forest 4,3,1 --n
+4..6 --k 2`` took 69 ms in a fresh interpreter, against 136 ms with
+_SMALL_N = 5 (2-core x86 VM, 12 alternating runs).  At n = 7 each step
+of a lane transform over 2^21 masks takes longer than a whole numpy
+transform."""
+# the variables from which OpenBLAS takes its thread count
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 _NUMPY_IMPORT_BYTES = 8 << 20
 """Upper estimate of what importing numpy allocates: 6.9 MB under
-tracemalloc with numpy 2.4 on Python 3.11, nearly all of it kept."""
+tracemalloc with numpy 2.4 on Python 3.11, nearly all of it kept; the
+same with one BLAS thread as with OpenBLAS's default."""
 _LANE = 24
 """Bits per vertex-set lane of the reference counter: every count it
 meets is at most perm(10, 10) = 3628800, below 2^24 - 1."""
@@ -334,6 +347,22 @@ class ExtremalResult(Record):
         self._set(forest, n, k, max_count, turan_count, witnesses, graphs_scanned)
 
 
+def _numpy():
+    """numpy for the array stages, which call no BLAS routine.  OpenBLAS
+    reads its thread count once, when numpy loads, and by default starts
+    a worker per core; so a first import where none of _BLAS_THREADS is
+    set runs with OPENBLAS_NUM_THREADS=1, removed right after.  A user's
+    setting, or an earlier import of numpy, wins."""
+    if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREADS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            import numpy
+        finally:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+    import numpy
+    return numpy
+
+
 def _zeta(a: np.ndarray, nbits: int, op, start: int = 0) -> None:
     """In-place subset transform over bit masks (Yates's method), bits
     start..nbits-1: a[S] becomes op over a[T] for every T subset of S
@@ -368,8 +397,7 @@ def _seeded_zeta(seeds: np.ndarray, values, nbits: int, dtype, op) -> np.ndarray
     distinct: a repeated seed would be overwritten, not added, and a row
     gathered twice would be transformed twice.
     """
-    import numpy as np
-
+    np = _numpy()
     a = np.zeros(1 << nbits, dtype=dtype)
     a[seeds] = values
     low = min(nbits, _ROW_BITS)
@@ -402,8 +430,7 @@ def _clique_numbers(n: int) -> np.ndarray:
     Containing K_r is an up-set: seed each clique mask with its order r,
     the empty mask with min(n, 1), and close upward with a max transform.
     """
-    import numpy as np
-
+    np = _numpy()
     order = {0: min(n, 1)}
     for r in range(2, n + 1):
         order.update(dict.fromkeys(_clique_masks(n, r), r))
@@ -428,8 +455,7 @@ def _placements(n: int, m: int) -> np.ndarray:
     entry >= f moved up by one.  At n = m = 7 this takes a third of the
     time of iterating over tuples; intp, not int8, reuses numpy loops
     that the engine pages in anyway."""
-    import numpy as np
-
+    np = _numpy()
     rows = np.zeros((1, 0), dtype=np.intp)
     for j in range(1, m + 1):
         s = n - m + j
@@ -448,8 +474,7 @@ def _placement_histogram(n: int, core: tuple[int, ...]) -> tuple[np.ndarray, np.
     forest vertex with the components laid down in order; a vertex
     flagged by ``back_edge_flags`` demands the edge to the one before.
     """
-    import numpy as np
-
+    np = _numpy()
     flags = back_edge_flags(core)
     m = len(flags)
     if m > n:  # no placement
@@ -480,8 +505,7 @@ def _inj_counts_all_graphs(n: int, comps: tuple[int, ...], half: int | None = No
     cache of size 0 only counts each build as a miss in ``cache_info()``,
     which the benchmark's tracer reads to book the array's bytes.
     """
-    import numpy as np
-
+    np = _numpy()
     # every entry is bounded by the total placement count n!/(n-m)!,
     # so the uint16 array cannot wrap; refuse if that ever changes
     bound = perm(n, min(sum(comps), n))
@@ -516,8 +540,7 @@ def _ties(runs, selects, bests, witness_cap: int) -> list[list[int]]:
     counts) of consecutive runs of masks, taken in mask order, shard by
     shard; a select selects a shard only while it lacks ties, and once
     none does the pass stops and draws no further run."""
-    import numpy as np
-
+    np = _numpy()
     found = [[] for _ in selects]
     for base, counts in runs:
         for lo in range(0, counts.size, _SHARD_SIZE):

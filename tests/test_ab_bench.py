@@ -1,7 +1,9 @@
-"""The verdicts of ``tools/ab_bench.py`` on synthetic runs; no benchmark
-is run and no subprocess started."""
+"""The verdicts of ``tools/ab_bench.py`` on synthetic runs, and the
+environment it gives a run; no benchmark is run and no subprocess
+started."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -45,3 +47,20 @@ PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]   # IQR 0.
 def test_verdict(change, better, bound, expected):
     parent = [1.0] * 10 if better == "higher" and bound == 0.001 else PARENT
     assert ab_bench.verdict(parent[:len(change)], change, better, bound) == expected
+
+
+def test_run_environment_drops_blas_thread_variables(monkeypatch):
+    for name in ab_bench.BLAS_THREADS:
+        monkeypatch.setenv(name, "2")
+    monkeypatch.setenv("TURANGOOD_KEPT", "1")
+    seen = {}
+
+    def fake_run(argv, **kwargs):
+        seen.update(kwargs)
+        return subprocess.CompletedProcess(argv, 0, '{"metrics": {"wall_s": {"value": 0.5}}}\n')
+
+    monkeypatch.setattr(ab_bench.subprocess, "run", fake_run)
+    assert ab_bench.run(Path("."), "exhaustive", 1, None) == {"wall_s": 0.5}
+    env = seen["env"]
+    assert not set(ab_bench.BLAS_THREADS) & set(env)
+    assert (env["PYTHONDONTWRITEBYTECODE"], env["TURANGOOD_KEPT"]) == ("1", "1")

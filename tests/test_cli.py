@@ -232,6 +232,12 @@ class TestVerify:
         assert invoke(capsys, "verify", "conjecture", "--forest", "3", "--n", "4",
                       "--k", "0") == (2, "", "turangood: error: k must be >= 1, got 0\n")
 
+    @pytest.mark.parametrize("n, k, bad", [("5..", "2", "5.."), ("1..2..3", "2", "1..2..3"),
+                                           ("5", "x", "x")])
+    def test_malformed_range_exits_2(self, capsys, n, k, bad):
+        assert invoke(capsys, "verify", "conjecture", "--forest", "3", "--n", n, "--k", k) == (
+            2, "", f"turangood: error: invalid range {bad!r}; expected a or a..b\n")
+
     def test_cap_hard_limit(self, capsys):
         code, _, err = invoke(capsys, "verify", "conjecture", "--forest", "2",
                               "--n", "9", "--k", "2", "--cap", "9")

@@ -4,6 +4,7 @@ engine alone, so only ``verify conjecture`` from n = 7 on may import
 it; fractions to the two ratio verifiers), the benchmark's tracer, and
 how many count arrays a process keeps."""
 
+import ast
 import json
 import os
 import subprocess
@@ -21,9 +22,12 @@ SRC = str(Path(turangood.__file__).resolve().parents[1])
 BENCH = str(Path(__file__).resolve().parents[1] / "bench")
 
 
-def python(*args: str, stdout=subprocess.PIPE, cwd=None) -> subprocess.CompletedProcess:
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+def python(*args: str, stdout=subprocess.PIPE, cwd=None, env=None) -> subprocess.CompletedProcess:
+    """Run the interpreter on args with SRC on its path, in ``env`` (the
+    caller's environment by default)."""
+    env = os.environ if env is None else env
+    path = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env={**env, "PYTHONPATH": path},
                           stdout=stdout, stderr=subprocess.PIPE, check=False, timeout=120,
                           cwd=cwd)
 
@@ -97,6 +101,8 @@ class TestClosedStdout:
 
 
 class TestStartupImports:
+    BLAS_ARGV = ["verify", "conjecture", "--forest", "3", "--n", "7", "--k", "2"]
+
     def test_import_leaves_numpy_unloaded(self):
         assert "numpy" not in modules_added()[0]
 
@@ -150,6 +156,59 @@ class TestStartupImports:
         loaded = modules_added(argv)[1]
         assert "numpy" in loaded
         assert "numpy.ma" not in loaded
+
+    # the variables are cleared first, so each case sets only its own
+    @pytest.mark.parametrize("given, first", [
+        ({}, False), ({"OPENBLAS_NUM_THREADS": "2"}, False), ({"OMP_NUM_THREADS": "2"}, False),
+        ({}, True),
+    ], ids=["default", "openblas-2", "omp-2", "numpy-first"])
+    def test_engine_loads_numpy_without_a_blas_worker(self, capsys, given, first):
+        """The engine imports numpy with one OpenBLAS thread unless the
+        caller chose a count or imported numpy first, and leaves the
+        caller's environment as it was."""
+        env = {k: v for k, v in os.environ.items() if k not in oracle._BLAS_THREADS} | given
+        threads = ("import json, os, sys\n"
+                   "def threads():\n"
+                   "    try:\n"
+                   "        return len(os.listdir('/proc/self/task'))\n"
+                   "    except OSError:\n"
+                   "        return None\n")
+        # the threads of a process that imported numpy and nothing else
+        own = python("-c", threads + "import numpy\nprint(threads())", env=env)
+        assert own.returncode == 0, own.stderr.decode()
+        code = (threads + ("import numpy\n" if first else "")
+                + "from turangood import cli\n"
+                f"assert cli.run({self.BLAS_ARGV!r}) == 0\n"
+                "blas = {k: os.environ.get(k) for k in "
+                f"{oracle._BLAS_THREADS!r}}}\n"
+                "print(json.dumps([threads(), blas]), file=sys.stderr)\n")
+        proc = python("-c", code, env=env)
+        assert proc.returncode == 0, proc.stderr.decode()
+        count, blas = json.loads(proc.stderr.decode().splitlines()[-1])
+        assert blas == {k: given.get(k) for k in oracle._BLAS_THREADS}
+        assert run(self.BLAS_ARGV) == 0
+        assert proc.stdout == capsys.readouterr().out.encode()
+        if count is None:
+            pytest.skip("/proc/self/task is unreadable")
+        assert count == (json.loads(own.stdout) if given or first else 1)
+
+    def test_numpy_is_imported_only_by_the_loader(self):
+        # every array stage gets numpy from oracle._numpy, so none can
+        # start OpenBLAS's worker by importing numpy itself
+        tree = ast.parse(Path(oracle.__file__).read_text())
+        allowed = set()
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                    and node.test.id == "TYPE_CHECKING"
+                    or isinstance(node, ast.FunctionDef) and node.name == "_numpy"):
+                allowed.update(map(id, ast.walk(node)))
+        imports = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.Import)
+                   and any(a.name.split(".")[0] == "numpy" for a in node.names)
+                   or isinstance(node, ast.ImportFrom)
+                   and (node.module or "").split(".")[0] == "numpy"]
+        assert imports
+        assert [node.lineno for node in imports if id(node) not in allowed] == []
 
 
 class TestTracedRuns:

@@ -8,7 +8,10 @@ Usage, from any directory:
 Pair i runs the parent first when i is odd and the change first when it
 is even.  Before every run both checkouts lose their ``__pycache__``
 directories and the run gets PYTHONDONTWRITEBYTECODE=1, so neither side
-reads bytecode that the other did not compile.  Per end-to-end metric of
+reads bytecode that the other did not compile.  The run's environment also
+loses the variables that set OpenBLAS's thread count (``BLAS_THREADS``):
+a shell that exports one would make both sides load numpy the same way
+and hide a change to how the engine loads it.  Per end-to-end metric of
 the change's ``BENCHMARK.json``, the out file gets each side's runs,
 median and inclusive quartiles, the pairs the change won, and a verdict
 (see ``verdict``), under ``end_to_end["<workload> seed <seed>"]``; its
@@ -24,13 +27,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
 
 def run(checkout: Path, workload: str, seed: int, seconds: float | None) -> dict:
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
     if seconds is not None:
         argv += ["--seconds", str(seconds)]
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True,
-                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+                          env=env)
     result = json.loads(proc.stdout.splitlines()[-1])
     return {name: m["value"] for name, m in result["metrics"].items()}
 

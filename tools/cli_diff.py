@@ -67,6 +67,10 @@ FIXED = [
     ["verify", "conjecture", "--forest", "2", "--n", "7", "--k", "7"],
     ["verify", "conjecture", "--forest", "3", "--n", "7", "--k", "2..7", "--witnesses", "0"],
     ["verify", "conjecture", "--forest", "2,2", "--n", "7", "--k", "6", "--witnesses", "500"],
+    # malformed ranges
+    ["verify", "conjecture", "--forest", "3", "--n", "5..", "--k", "2"],
+    ["verify", "conjecture", "--forest", "3", "--n", "1..2..3", "--k", "2"],
+    ["verify", "conjecture", "--forest", "3", "--n", "5", "--k", "x"],
 ]
 
 CHILD = """
